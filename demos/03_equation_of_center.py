@@ -17,7 +17,8 @@ import math
 
 from saddlepoint import find_saddle
 from saddlepoint.classic import (center_d_values, center_fs_polynomial,
-                                 center_gamma, equation_of_center)
+                                 center_gamma)
+from saddlepoint.problemfile import example_problem, run_problem
 
 eps = 0.4
 gamma = center_gamma(eps)
@@ -30,15 +31,18 @@ print(f"Newton from the raw phase: {found.root:.12f} "
       f"({found.iterations} iterations, residual {found.residual:.1e})")
 print()
 
-report = equation_of_center(eps, s_count=13, n=50.0)
-c0 = report.expansion.terms[0].coefficient
+# the built-in "center" problem: a = 0, circling path from sector 1 to 2
+example = example_problem("center", n=50.0, eps=eps, terms=13)
+run = run_problem(example.problem, example.rel_tol)
+point = run.validations[0]
+c0 = run.expansion.terms[0].coefficient
 print(f"leading (constant) coefficient: {c0.real:.15f}")
 print(f"pi/sqrt(1 - eps^2)            : {math.pi / math.sqrt(1 - eps * eps):.15f}")
 print()
-print(f"value at N = 50:   expansion  {report.expansion_value.real:.12e}")
-print(f"                   quadrature {report.oracle_value.real:.12e}")
-print(f"agreement: {report.agreement_digits} digits "
-      f"({report.oracle.evaluations} integrand evaluations)")
+print(f"value at N = 50:   expansion  {point.value.real:.12e}")
+print(f"                   quadrature {point.oracle.value.real:.12e}")
+print(f"agreement: {point.digits} digits "
+      f"({point.oracle.evaluations} integrand evaluations)")
 print()
 
 print("Structure of the odd coefficients: d(s) (1-eps^2)^{(s+1)/2} is a")

@@ -9,7 +9,8 @@ from -pi to pi gives the same value; the oracle checks that too.
 """
 
 from saddlepoint import builtin_integrand, integrate
-from saddlepoint.classic import parabolic, parabolic_contour, parabolic_d_table
+from saddlepoint.classic import parabolic_contour, parabolic_d_table
+from saddlepoint.problemfile import example_problem, run_problem
 
 print("Exact tables")
 print("------------")
@@ -17,14 +18,16 @@ for s, val in enumerate(parabolic_d_table(8)):
     print(f"  d*({s}) = {val}")
 print()
 
-report = parabolic(8, 50.0)
-print(f"value at N = 50:   expansion  {report.expansion_value.real:.12f}")
-print(f"                   quadrature {report.oracle_value.real:.12f}")
-print(f"agreement: {report.agreement_digits} digits")
+example = example_problem("parabolic", n=50.0, terms=8)
+run = run_problem(example.problem, example.rel_tol)
+point = run.validations[0]
+print(f"value at N = 50:   expansion  {point.value.real:.12f}")
+print(f"                   quadrature {point.oracle.value.real:.12f}")
+print(f"agreement: {point.digits} digits")
 print()
 
 print("terms (note the negative leading exponent):")
-for t in report.expansion.terms:
+for t in run.expansion.terms:
     if not t.is_zero:
         print(f"  s = {t.s}: coefficient {t.coefficient.real:+.10f}  "
               f"x N^{-t.exponent.real:+.4f}")

@@ -15,7 +15,8 @@ Modules:
 * :mod:`saddlepoint.saddle`     normal form, sectors, saddle search
 * :mod:`saddlepoint.expansion`  alpha coefficients and term assembly
 * :mod:`saddlepoint.quadrature` adaptive contour integration oracle
-* :mod:`saddlepoint.classic`    four fully worked integrals
+* :mod:`saddlepoint.classic`    exact data of four worked integrals
+* :mod:`saddlepoint.problemfile` problems, built-in examples, pipeline
 * :mod:`saddlepoint.waves`      Sylvester-wave asymptotics
 * :mod:`saddlepoint.cli`        the ``saddlepoint`` command
 """
@@ -29,15 +30,12 @@ from .saddle import (SaddleNormalForm, DirectionClass, RootResult,
                      classify_direction, find_saddle, check_max_condition)
 from .expansion import (AlphaSequence, AsymptoticExpansion, Term,
                         Endpoint, Through, EvenOpposite, CirclePath,
-                        alpha_bell, alpha_direct, assemble, evaluate,
-                        vanishing_shift)
+                        alpha_bell, alpha_direct, assemble, vanishing_shift)
 from .quadrature import (Segment, Arc, Contour, QuadratureResult,
                          integrate, integrate_power_factor, builtin_integrand)
-from .classic import (ExampleReport, agreement_digits, gamma_stirling,
-                      gamma_report, kepler_d_table, kepler_plain,
+from .classic import (agreement_digits, gamma_stirling, kepler_d_table,
                       center_q_coeffs, center_d_values, center_fs_polynomial,
-                      equation_of_center, parabolic_q_table,
-                      parabolic_d_table, parabolic)
+                      parabolic_q_table, parabolic_d_table)
 from .waves import (WaveConstants, WaveExpansion, dilog, solve_constants,
                     p_wave_series, f_lambda_series, u_series,
                     wave_coefficients, wave_main_term)
@@ -51,13 +49,12 @@ __all__ = [
     "check_max_condition",
     "AlphaSequence", "AsymptoticExpansion", "Term", "Endpoint", "Through",
     "EvenOpposite", "CirclePath", "alpha_bell", "alpha_direct", "assemble",
-    "evaluate", "vanishing_shift",
+    "vanishing_shift",
     "Segment", "Arc", "Contour", "QuadratureResult", "integrate",
     "integrate_power_factor", "builtin_integrand",
-    "ExampleReport", "agreement_digits", "gamma_stirling", "gamma_report",
-    "kepler_d_table", "kepler_plain", "center_q_coeffs", "center_d_values",
-    "center_fs_polynomial", "equation_of_center", "parabolic_q_table",
-    "parabolic_d_table", "parabolic",
+    "agreement_digits", "gamma_stirling", "kepler_d_table", "center_q_coeffs",
+    "center_d_values", "center_fs_polynomial", "parabolic_q_table",
+    "parabolic_d_table",
     "WaveConstants", "WaveExpansion", "dilog", "solve_constants",
     "p_wave_series", "f_lambda_series", "u_series", "wave_coefficients",
     "wave_main_term",

@@ -1,52 +1,47 @@
-"""Four classic oscillatory/Laplace integrals computed end to end.
+"""Exact local data of the four classic oscillatory/Laplace integrals.
 
-Each worked problem builds the saddle normal form and amplitude series
-analytically, runs the coefficient and assembly machinery, and cross
-checks the result against the adaptive contour quadrature oracle:
+Each worked problem supplies its saddle normal form, amplitude series,
+validation contour and exact rational coefficient table; the problem
+registry in :mod:`saddlepoint.problemfile` assembles them into
+``Problem`` values that run through the one expansion pipeline:
 
-* ``gamma_report``      - int e^{N(-z + log z)} dz near z = 1, the
-  factorial asymptotics; coefficients are the Stirling correction
-  rationals 1/12, 1/288, -139/51840, ...
-* ``kepler_plain``      - int_{-pi}^{pi} e^{N i (z - sin z)} dz, saddle
-  of order mu = 3 at 0, rational table d(s).
-* ``equation_of_center`` - int_{-pi}^{pi} e^{N i (z - eps sin z)} /
-  (1 - eps cos z) dz for eccentricity 0 < eps < 1: a simple pole rides
-  on the saddle (a = 0) and the contour circles below it.
-* ``parabolic``         - the eps = 1 limit with the double pole at the
-  saddle (a = -1), rational table d*(s).
+* gamma      - int e^{N(-z + log z)} dz near z = 1, the factorial
+  asymptotics; coefficients are the Stirling correction rationals
+  1/12, 1/288, -139/51840, ...
+* kepler     - int_{-pi}^{pi} e^{N i (z - sin z)} dz, saddle of order
+  mu = 3 at 0, rational table d(s).
+* center     - int_{-pi}^{pi} e^{N i (z - eps sin z)} / (1 - eps cos z) dz
+  for eccentricity 0 < eps < 1: a simple pole rides on the saddle
+  (a = 0) and the contour circles below it.
+* parabolic  - the eps = 1 limit with the double pole at the saddle
+  (a = -1), rational table d*(s).
 
-Rational tables are computed in exact arithmetic; expansions and
-oracles run in double precision.  Reports are immutable value objects.
+Rational tables are computed in exact arithmetic; normal forms and
+amplitude series in double precision.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .expansion import (AsymptoticExpansion, CirclePath, EvenOpposite,
-                        Through, alpha_bell, assemble)
-from .quadrature import (Arc, Contour, QuadratureResult, Segment,
-                         builtin_integrand, integrate)
+from .expansion import alpha_bell
+from .quadrature import Arc, Contour, Segment
 from .saddle import SaddleNormalForm
 from .series import TruncatedSeries, bell_hat_table, bernoulli, beta_glaisher, binomial
 
 __all__ = [
-    "ExampleReport",
     "agreement_digits",
     "gamma_stirling",
     "gamma_normal_form",
     "gamma_contour",
-    "gamma_report",
     "kepler_d_table",
     "kepler_normal_form",
     "kepler_contour",
-    "kepler_plain",
     "center_gamma",
     "center_saddle",
     "center_q_coeffs",
@@ -54,37 +49,28 @@ __all__ = [
     "center_d_values",
     "center_contour",
     "center_fs_polynomial",
-    "equation_of_center",
     "parabolic_q_table",
     "parabolic_d_table",
     "parabolic_contour",
-    "parabolic",
 ]
 
 
-@dataclass(frozen=True)
-class ExampleReport:
-    """One worked problem: expansion vs oracle plus its coefficient table."""
-
-    name: str
-    parameters: dict
-    expansion: AsymptoticExpansion
-    expansion_value: complex
-    oracle_value: complex
-    oracle: QuadratureResult
-    agreement_digits: int
-    coefficient_table: tuple
-
-
 def agreement_digits(value: complex, reference: complex) -> int:
-    """floor(-log10(relative difference)); 16 when indistinguishable."""
-    ref = abs(reference)
-    if ref == 0.0:
-        return 16 if value == 0 else 0
-    rel = abs(value - reference) / ref
-    if rel == 0.0 or rel < 1e-16:
+    """floor(-log10(relative difference)), capped at 16.
+
+    0 when the reference is zero or either value is not finite: an
+    underflowed or overflowed comparison shows no agreement at all.
+    """
+    value, reference = complex(value), complex(reference)
+    if (reference == 0 or not cmath.isfinite(value)
+            or not cmath.isfinite(reference)):
+        return 0
+    rel = abs(value - reference) / abs(reference)
+    if not rel < 1.0:
+        return 0
+    if rel < 1e-16:
         return 16
-    return max(0, math.floor(-math.log10(rel)))
+    return math.floor(-math.log10(rel))
 
 
 # ----------------------------------------------------------------------
@@ -132,37 +118,6 @@ def gamma_contour() -> Contour:
     # [0.05, 4] keeps the endpoint contributions below e^{-25} of the
     # saddle scale for every N >= 25, far under the series resolution
     return Contour.from_points([0.05, 4.0])
-
-
-def gamma_report(n: float = 50.0, corrections: int = 3,
-                 rel_tol: float = 1e-12) -> ExampleReport:
-    """Expansion vs quadrature for the factorial integral.
-
-    ``corrections`` counts the Stirling rationals 1/12, 1/288, ... in
-    the table; the expansion itself keeps the 2 * corrections + 1
-    orders that realize them (odd orders vanish).
-    """
-    if corrections < 1:
-        raise ValueError("need at least one correction term")
-    s_count = 2 * corrections + 1
-    nf = gamma_normal_form(s_count + 2)
-    q = TruncatedSeries.constant(1.0, 1.0, s_count + 2)
-    alphas = alpha_bell(nf, q, 1, s_count)
-    expansion = assemble(alphas, nf, EvenOpposite(0))
-    value = expansion.evaluate(n, s_count)
-    oracle = integrate(builtin_integrand("gamma", n=n), gamma_contour(),
-                       abs_tol=0.0, rel_tol=rel_tol)
-    table = tuple(gamma_stirling(corrections))
-    return ExampleReport(
-        name="gamma",
-        parameters={"n": n, "terms": corrections},
-        expansion=expansion,
-        expansion_value=value,
-        oracle_value=oracle.value,
-        oracle=oracle,
-        agreement_digits=agreement_digits(value, oracle.value),
-        coefficient_table=table,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -215,30 +170,6 @@ def kepler_contour() -> Contour:
     top = math.pi / math.sqrt(3.0)
     return Contour.from_points(
         [-math.pi, complex(-math.pi, top), 0.0, complex(math.pi, top), math.pi])
-
-
-def kepler_plain(s_count: int = 10, n: float = 50.0,
-                 rel_tol: float = 1e-11) -> ExampleReport:
-    """The plain oscillatory integral; enters valley 1, leaves valley 0."""
-    if s_count < 1:
-        raise ValueError("need at least one term")
-    nf = kepler_normal_form(s_count + 2)
-    q = TruncatedSeries.constant(1.0, 0.0, s_count + 2)
-    alphas = alpha_bell(nf, q, 1, s_count)
-    expansion = assemble(alphas, nf, Through(1, 0))
-    value = expansion.evaluate(n, s_count)
-    oracle = integrate(builtin_integrand("kepler_plain", n=n), kepler_contour(),
-                       abs_tol=0.0, rel_tol=rel_tol)
-    return ExampleReport(
-        name="kepler",
-        parameters={"n": n, "terms": s_count},
-        expansion=expansion,
-        expansion_value=value,
-        oracle_value=oracle.value,
-        oracle=oracle,
-        agreement_digits=agreement_digits(value, oracle.value),
-        coefficient_table=tuple(kepler_d_table(s_count - 1)),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -321,37 +252,6 @@ def center_contour(eps: float, dip_radius: float = 0.25) -> Contour:
         Arc(z0, dip_radius, math.pi, 2.0 * math.pi),
         Segment(z0 + dip_radius, math.pi + z0),
     ])
-
-
-def equation_of_center(eps: float, s_count: int = 13, n: float = 50.0,
-                       rel_tol: float = 1e-11) -> ExampleReport:
-    """Fourier-coefficient integral of the equation of the center.
-
-    The pole sits on the saddle, so the amplitude is split off as
-    q(z) = (z - z0)/(1 - eps cos z) with exponent parameter a = 0; the
-    s = 0 term then hits the degenerate replacement rule and produces
-    the constant pi/sqrt(1 - eps^2).
-    """
-    if s_count < 1:
-        raise ValueError("need at least one term")
-    nf = center_normal_form(eps, s_count + 2)
-    q = TruncatedSeries(nf.z0, center_q_coeffs(eps, s_count + 2))
-    alphas = alpha_bell(nf, q, 0, s_count)
-    expansion = assemble(alphas, nf, CirclePath(1, 2))
-    value = expansion.evaluate(n, s_count)
-    oracle = integrate(builtin_integrand("center", n=n, eps=eps),
-                       center_contour(eps), abs_tol=0.0, rel_tol=rel_tol)
-    table = tuple(center_d_values(eps, min(s_count - 1, 9)))
-    return ExampleReport(
-        name="center",
-        parameters={"n": n, "eps": eps, "terms": s_count},
-        expansion=expansion,
-        expansion_value=value,
-        oracle_value=oracle.value,
-        oracle=oracle,
-        agreement_digits=agreement_digits(value, oracle.value),
-        coefficient_table=table,
-    )
 
 
 def center_fs_polynomial(s: int, sample_eps: Optional[Sequence[float]] = None):
@@ -447,32 +347,3 @@ def parabolic_contour(radius: float = 0.3) -> Contour:
         Segment(a_out, complex(math.pi, top)),
         Segment(complex(math.pi, top), math.pi),
     ])
-
-
-def parabolic(s_count: int = 8, n: float = 50.0,
-              rel_tol: float = 1e-11) -> ExampleReport:
-    """The eps = 1 integral with the double pole on the saddle (a = -1).
-
-    The s = 1 term formally needs the degenerate replacement rule
-    ((s+a)/mu = 0) but vanishes anyway because d*(1) = 0.
-    """
-    if s_count < 1:
-        raise ValueError("need at least one term")
-    nf = kepler_normal_form(s_count + 2)
-    qs = parabolic_q_table(s_count + 2)
-    q = TruncatedSeries(0.0, [complex(x) for x in qs])
-    alphas = alpha_bell(nf, q, -1, s_count)
-    expansion = assemble(alphas, nf, CirclePath(1, 0))
-    value = expansion.evaluate(n, s_count)
-    oracle = integrate(builtin_integrand("parabolic", n=n), parabolic_contour(),
-                       abs_tol=0.0, rel_tol=rel_tol)
-    return ExampleReport(
-        name="parabolic",
-        parameters={"n": n, "terms": s_count},
-        expansion=expansion,
-        expansion_value=value,
-        oracle_value=oracle.value,
-        oracle=oracle,
-        agreement_digits=agreement_digits(value, oracle.value),
-        coefficient_table=tuple(parabolic_d_table(s_count - 1)),
-    )

@@ -5,31 +5,32 @@ Three commands:
 * ``expand <problem-file>`` runs the expansion pipeline on a
   user-defined problem, printing the term table and, when the file
   supplies a contour and N values, the quadrature comparison.
-* ``example <name>`` reproduces a built-in worked problem
-  (gamma, kepler, center, parabolic, sylvester).
+* ``example <name>`` runs the same pipeline on a built-in worked
+  problem (gamma, kepler, center, parabolic); ``sylvester`` prints
+  the partition-wave asymptotics.
 * ``selftest`` runs the invariant suite and sets the exit status.
 
-Exit codes: 0 success, 1 invariant or agreement failure, 2 input
-error.  All numbers are printed with 17 significant digits so reruns
-are byte identical.
+Exit codes: 0 success, 1 invariant or agreement failure (at some N the
+oracle did not converge or agrees to fewer than MIN_EXAMPLE_DIGITS
+digits), 2 input error.  All numbers are printed with 17 significant
+digits so reruns are byte identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from . import classic, selftest, waves
-from .expansion import alpha_bell, alpha_direct, assemble
-from .problemfile import ProblemFileError, parse_problem_file
-from .quadrature import integrate, integrate_power_factor
+from . import selftest, waves
+from .problemfile import (EXAMPLES, example_problem, parse_problem_file,
+                          run_problem)
+from .quadrature import DEFAULT_REL_TOL
 
-#: an example run counts as agreeing when expansion and oracle share
+#: a validation point counts as agreeing when expansion and oracle share
 #: at least this many digits (loose: asymptotic accuracy at small N is
 #: legitimately poor, but the stock parameters sit far above this)
 MIN_EXAMPLE_DIGITS = 4
@@ -82,43 +83,30 @@ def _terms_tsv(terms, out) -> None:
                   f"\t{fmt_float(t.coefficient.real)}\t{fmt_float(t.coefficient.imag)}\n")
 
 
+def _status(run) -> int:
+    """The exit rule of ``expand`` and ``example``."""
+    ok = all(v.oracle.converged and v.digits >= MIN_EXAMPLE_DIGITS
+             for v in run.validations)
+    return 0 if ok else 1
+
+
+def _quadrature_line(oracle) -> str:
+    return (f"{fmt_complex(oracle.value)}  "
+            f"(error {oracle.error_estimate:.3e}, "
+            f"evaluations {oracle.evaluations}, "
+            f"{'converged' if oracle.converged else 'NOT converged'})\n")
+
+
 def cmd_expand(args) -> int:
     out = sys.stdout
     try:
         problem = parse_problem_file(args.file)
-    except ProblemFileError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 2
-    nf = problem.normal_form
-    alphas = alpha_bell(nf, problem.q, problem.a, problem.order)
-    cross = alpha_direct(nf, problem.q, problem.a, problem.order)
-    scale = max(max(abs(x) for x in alphas.alphas), 1e-300)
-    route_dev = max(abs(x - y) for x, y in
-                    zip(alphas.alphas, cross.alphas)) / scale
-    try:
-        expansion = assemble(alphas, nf, problem.branch)
+        run = run_problem(problem, args.tol)
     except ValueError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
-
-    comparisons = []
-    status = 0
-    rel_tol = args.tol if args.tol is not None else 1e-11
-    for n in problem.n_values:
-        def f(z, n=n):
-            return cmath.exp(n * complex(problem.p_callable(z))) \
-                * complex(problem.q_callable(z))
-        if problem.a == 1:
-            oracle = integrate(f, problem.contour, abs_tol=0.0, rel_tol=rel_tol)
-        else:
-            oracle = integrate_power_factor(f, complex(problem.a), nf.z0,
-                                            problem.contour,
-                                            abs_tol=0.0, rel_tol=rel_tol)
-        value = expansion.evaluate(n, problem.order)
-        digits = classic.agreement_digits(value, oracle.value)
-        comparisons.append((n, value, oracle, digits))
-        if not oracle.converged:
-            status = 1
+    nf = problem.normal_form
+    expansion = run.expansion
 
     if args.format == "json":
         payload = {
@@ -128,16 +116,16 @@ def cmd_expand(args) -> int:
             "omega0": nf.omega0,
             "variant": type(problem.branch).__name__,
             "order": problem.order,
-            "alpha_route_deviation": route_dev,
+            "alpha_route_deviation": run.route_deviation,
             "terms": _terms_json(expansion.terms),
             "validation": [
-                {"n": n, "expansion": json_complex(v),
-                 "quadrature": json_complex(o.value),
-                 "quadrature_error": o.error_estimate,
-                 "evaluations": o.evaluations,
-                 "converged": o.converged,
-                 "agreement_digits": d}
-                for n, v, o, d in comparisons],
+                {"n": v.n, "expansion": json_complex(v.value),
+                 "quadrature": json_complex(v.oracle.value),
+                 "quadrature_error": v.oracle.error_estimate,
+                 "evaluations": v.oracle.evaluations,
+                 "converged": v.oracle.converged,
+                 "agreement_digits": v.digits}
+                for v in run.validations],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "tsv":
@@ -147,39 +135,17 @@ def cmd_expand(args) -> int:
         out.write(f"saddle: z0 = {fmt_complex(nf.z0)}  mu = {nf.mu}  "
                   f"p0 = {fmt_complex(nf.p0)}  omega0 = {fmt_float(nf.omega0)}\n")
         out.write(f"variant: {type(problem.branch).__name__} {problem.branch}\n")
-        out.write(f"alpha cross-route deviation: {route_dev:.3e}\n")
+        out.write(f"alpha cross-route deviation: {run.route_deviation:.3e}\n")
         _print_term_table(expansion.terms, out)
         if all(t.is_zero for t in expansion.terms):
             out.write("warning: every term vanishes "
                       "(entry and exit phases cancel)\n")
-        for n, value, oracle, digits in comparisons:
-            out.write(f"validation at N = {fmt_float(n)}:\n")
-            out.write(f"  expansion  = {fmt_complex(value)}\n")
-            out.write(f"  quadrature = {fmt_complex(oracle.value)}  "
-                      f"(error {oracle.error_estimate:.3e}, "
-                      f"evaluations {oracle.evaluations}, "
-                      f"{'converged' if oracle.converged else 'NOT converged'})\n")
-            out.write(f"  agreement digits: {digits}\n")
-    return status
-
-
-def _example_report(args):
-    name = args.name
-    terms = args.terms
-    rel_tol = args.tol if args.tol is not None else 1e-11
-    if name == "gamma":
-        # terms counts the printed Stirling rationals for this example
-        return classic.gamma_report(args.n, terms if terms else 3,
-                                    rel_tol=min(rel_tol, 1e-12))
-    if name == "kepler":
-        return classic.kepler_plain(terms if terms else 10, args.n,
-                                    rel_tol=rel_tol)
-    if name == "center":
-        return classic.equation_of_center(args.eps, terms if terms else 13,
-                                          args.n, rel_tol=rel_tol)
-    if name == "parabolic":
-        return classic.parabolic(terms if terms else 8, args.n, rel_tol=rel_tol)
-    raise AssertionError(name)
+        for v in run.validations:
+            out.write(f"validation at N = {fmt_float(v.n)}:\n")
+            out.write(f"  expansion  = {fmt_complex(v.value)}\n")
+            out.write(f"  quadrature = {_quadrature_line(v.oracle)}")
+            out.write(f"  agreement digits: {v.digits}\n")
+    return _status(run)
 
 
 def cmd_example(args) -> int:
@@ -187,46 +153,46 @@ def cmd_example(args) -> int:
     if args.name == "sylvester":
         return _cmd_example_sylvester(args)
     try:
-        report = _example_report(args)
+        example = example_problem(args.name, args.n, args.eps, args.terms,
+                                  args.tol)
+        run = run_problem(example.problem, example.rel_tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ok = report.agreement_digits >= MIN_EXAMPLE_DIGITS and report.oracle.converged
+    (point,) = run.validations
+    status = _status(run)
 
     if args.format == "json":
         payload = {
-            "example": report.name,
-            "parameters": report.parameters,
-            "coefficients": [_coefficient_cell(c) for c in report.coefficient_table],
-            "terms": _terms_json(report.expansion.terms),
-            "expansion_value": json_complex(report.expansion_value),
-            "quadrature_value": json_complex(report.oracle_value),
-            "quadrature_error": report.oracle.error_estimate,
-            "evaluations": report.oracle.evaluations,
-            "converged": report.oracle.converged,
-            "agreement_digits": report.agreement_digits,
+            "example": example.name,
+            "parameters": example.parameters,
+            "coefficients": [_coefficient_cell(c) for c in example.coefficient_table],
+            "terms": _terms_json(run.expansion.terms),
+            "expansion_value": json_complex(point.value),
+            "quadrature_value": json_complex(point.oracle.value),
+            "quadrature_error": point.oracle.error_estimate,
+            "evaluations": point.oracle.evaluations,
+            "converged": point.oracle.converged,
+            "agreement_digits": point.digits,
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "tsv":
-        _terms_tsv(report.expansion.terms, out)
+        _terms_tsv(run.expansion.terms, out)
     else:
-        out.write(f"example: {report.name}\n")
+        out.write(f"example: {example.name}\n")
         params = ", ".join(f"{k} = {fmt_float(v) if isinstance(v, float) else v}"
-                           for k, v in report.parameters.items())
+                           for k, v in example.parameters.items())
         out.write(f"parameters: {params}\n")
         out.write("coefficient table:\n")
-        for s, c in enumerate(report.coefficient_table):
+        for s, c in enumerate(example.coefficient_table):
             out.write(f"  {s:3d}  {_coefficient_cell(c)}\n")
-        _print_term_table(report.expansion.terms, out)
-        out.write(f"expansion value:  {fmt_complex(report.expansion_value)}\n")
-        out.write(f"quadrature value: {fmt_complex(report.oracle_value)}  "
-                  f"(error {report.oracle.error_estimate:.3e}, "
-                  f"evaluations {report.oracle.evaluations}, "
-                  f"{'converged' if report.oracle.converged else 'NOT converged'})\n")
-        out.write(f"agreement: {report.agreement_digits} digits\n")
-        if not ok:
+        _print_term_table(run.expansion.terms, out)
+        out.write(f"expansion value:  {fmt_complex(point.value)}\n")
+        out.write(f"quadrature value: {_quadrature_line(point.oracle)}")
+        out.write(f"agreement: {point.digits} digits\n")
+        if status:
             out.write("agreement FAILURE\n")
-    return 0 if ok else 1
+    return status
 
 
 def _cmd_example_sylvester(args) -> int:
@@ -309,13 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("file")
     p_expand.add_argument("--format", choices=("text", "json", "tsv"),
                           default="text")
-    p_expand.add_argument("--tol", type=float, default=None,
+    p_expand.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
                           help="quadrature relative tolerance")
     p_expand.set_defaults(func=cmd_expand)
 
     p_example = sub.add_parser("example", help="run a built-in worked problem")
-    p_example.add_argument("name", choices=("gamma", "kepler", "center",
-                                            "parabolic", "sylvester"))
+    p_example.add_argument("name", choices=(*EXAMPLES, "sylvester"))
     p_example.add_argument("--n", type=float, default=50.0)
     p_example.add_argument("--eps", type=float, default=0.4)
     p_example.add_argument("--lambda", dest="lam", default=None,
@@ -323,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.add_argument("--terms", type=int, default=None)
     p_example.add_argument("--format", choices=("text", "json", "tsv"),
                            default="text")
-    p_example.add_argument("--tol", type=float, default=None,
+    p_example.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
                            help="quadrature relative tolerance")
     p_example.set_defaults(func=cmd_example)
 

@@ -52,7 +52,6 @@ __all__ = [
     "alpha_bell",
     "alpha_direct",
     "assemble",
-    "evaluate",
     "vanishing_shift",
     "VanishingShiftReport",
 ]
@@ -71,7 +70,6 @@ class AlphaSequence:
     alphas: tuple
     mu: int
     p0: complex
-    branch_note: str = "principal p0^(-(s+a)/mu)"
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -158,11 +156,6 @@ class AsymptoticExpansion:
     def partial_sum(self, n: float, terms: Optional[int] = None) -> complex:
         """The bracketed sum without the e^{N p(z0)} prefactor."""
         return self.evaluate(n, terms) * cmath.exp(-n * self.p_at_z0)
-
-
-def evaluate(expansion: AsymptoticExpansion, n: float,
-             terms: Optional[int] = None) -> complex:
-    return expansion.evaluate(n, terms)
 
 
 def _exponent(s: int, a: ExponentParam, mu: int):

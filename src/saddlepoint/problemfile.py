@@ -1,4 +1,10 @@
-"""Parsing of user-defined saddle problems from a text file.
+"""Saddle problems: the problem-file parser, the built-in worked
+problems and the one pipeline that runs either.
+
+``parse_problem_text`` turns a problem file into a ``Problem``;
+``example_problem`` builds one from the ``EXAMPLES`` registry (the
+worked problems of :mod:`saddlepoint.classic`); ``run_problem``
+computes the expansion and checks it against the quadrature oracle.
 
 The format is line oriented: ``key = <json value>`` with ``#``
 comments and blank lines ignored.  Keys, one line each, no repeats:
@@ -37,18 +43,24 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .classic import (center_normal_form, center_q_coeffs, center_saddle,
-                      gamma_normal_form, kepler_normal_form,
-                      parabolic_q_table)
-from .expansion import (BranchSpec, CirclePath, Endpoint, EvenOpposite,
-                        ExponentParam, Through)
-from .quadrature import Arc, Contour, Segment
+from .classic import (agreement_digits, center_contour, center_d_values,
+                      center_normal_form, center_q_coeffs, center_saddle,
+                      gamma_contour, gamma_normal_form, gamma_stirling,
+                      kepler_contour, kepler_d_table, kepler_normal_form,
+                      parabolic_contour, parabolic_d_table, parabolic_q_table)
+from .expansion import (AsymptoticExpansion, BranchSpec, CirclePath, Endpoint,
+                        EvenOpposite, ExponentParam, Through, alpha_bell,
+                        alpha_direct, assemble)
+from .quadrature import (DEFAULT_REL_TOL, Arc, Contour, QuadratureResult,
+                         Segment, integrate, integrate_power_factor)
 from .saddle import SaddleNormalForm, normalize
 from .series import TruncatedSeries
 
-__all__ = ["Problem", "ProblemFileError", "parse_problem_file", "parse_problem_text"]
+__all__ = ["Problem", "ProblemFileError", "parse_problem_file", "parse_problem_text",
+           "EXAMPLES", "Example", "example_problem",
+           "Validation", "ProblemRun", "run_problem"]
 
 
 class ProblemFileError(ValueError):
@@ -92,7 +104,25 @@ _PHASE_BUILTINS = {"gamma", "kepler", "center", "parabolic"}
 _AMPLITUDE_BUILTINS = {"one", "center", "parabolic"}
 
 
-def _phase_builtin(name: str, order: int, eps: Optional[float], line: int):
+def _eccentricity(eps, what: str, line: Optional[int]) -> float:
+    if eps is None:
+        raise ProblemFileError(f"{what} needs \"eps\"", line)
+    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+            or not 0.0 < eps < 1.0):
+        raise ProblemFileError(
+            f"{what}: \"eps\" must be an eccentricity in (0, 1), not {eps!r}", line)
+    return eps
+
+
+def _builtin_order(spec: dict, order: int, what: str, line: int) -> int:
+    """The builtin's own series order, at least two past the expansion's."""
+    own = spec.get("order", order + 4)
+    if not isinstance(own, int) or isinstance(own, bool):
+        raise ProblemFileError(f"{what}: \"order\" must be an integer", line)
+    return max(own, order + 2)
+
+
+def _phase_builtin(name: str, order: int, eps, line: Optional[int]):
     if name == "gamma":
         nf = gamma_normal_form(order)
         return nf, (lambda z: -z + cmath.log(z))
@@ -100,21 +130,19 @@ def _phase_builtin(name: str, order: int, eps: Optional[float], line: int):
         nf = kepler_normal_form(order)
         return nf, (lambda z: 1j * (z - cmath.sin(z)))
     if name == "center":
-        if eps is None:
-            raise ProblemFileError("builtin phase 'center' needs \"eps\"", line)
+        eps = _eccentricity(eps, "builtin phase 'center'", line)
         nf = center_normal_form(eps, order)
         return nf, (lambda z: 1j * (z - eps * cmath.sin(z)))
     raise ProblemFileError(
         f"unknown phase builtin {name!r}; choose from {sorted(_PHASE_BUILTINS)}", line)
 
 
-def _amplitude_builtin(name: str, order: int, eps: Optional[float],
-                       z0: complex, line: int):
+def _amplitude_builtin(name: str, order: int, eps, z0: complex,
+                       line: Optional[int]):
     if name == "one":
         return (TruncatedSeries.constant(1.0, z0, order), (lambda z: 1.0 + 0.0j))
     if name == "center":
-        if eps is None:
-            raise ProblemFileError("builtin amplitude 'center' needs \"eps\"", line)
+        eps = _eccentricity(eps, "builtin amplitude 'center'", line)
         coeffs = center_q_coeffs(eps, order)
         zc = center_saddle(eps)
 
@@ -130,6 +158,72 @@ def _amplitude_builtin(name: str, order: int, eps: Optional[float],
     raise ProblemFileError(
         f"unknown amplitude builtin {name!r}; choose from {sorted(_AMPLITUDE_BUILTINS)}",
         line)
+
+
+class _Worked(NamedTuple):
+    """A built-in worked problem; ``order`` maps terms to the order S."""
+
+    phase: str
+    amplitude: str
+    a: ExponentParam
+    branch: BranchSpec
+    contour: Callable[[float], Contour]
+    terms: int
+    table: Callable[[int, float], list]
+    order: Callable[[int], int] = lambda terms: terms
+    rel_tol_cap: float = math.inf
+
+
+EXAMPLES = {
+    # terms counts the Stirling rationals; odd orders vanish
+    "gamma": _Worked("gamma", "one", 1, EvenOpposite(0),
+                     lambda eps: gamma_contour(), 3,
+                     lambda terms, eps: gamma_stirling(terms),
+                     lambda terms: 2 * terms + 1, 1e-12),
+    "kepler": _Worked("kepler", "one", 1, Through(1, 0),
+                      lambda eps: kepler_contour(), 10,
+                      lambda terms, eps: kepler_d_table(terms - 1)),
+    "center": _Worked("center", "center", 0, CirclePath(1, 2),
+                      center_contour, 13,
+                      lambda terms, eps: center_d_values(eps, min(terms - 1, 9))),
+    "parabolic": _Worked("parabolic", "parabolic", -1, CirclePath(1, 0),
+                         lambda eps: parabolic_contour(), 8,
+                         lambda terms, eps: parabolic_d_table(terms - 1)),
+}
+
+
+@dataclass(frozen=True)
+class Example:
+    """A built-in worked problem at concrete parameters, with its exact table."""
+
+    name: str
+    parameters: dict
+    problem: Problem
+    coefficient_table: tuple
+    rel_tol: float
+
+
+def example_problem(name: str, n: float = 50.0, eps: float = 0.4,
+                    terms: Optional[int] = None,
+                    rel_tol: float = DEFAULT_REL_TOL) -> Example:
+    """``EXAMPLES[name]`` validated at N = ``n``; ``eps`` is read by
+    ``center`` only.  Bad parameters raise ``ProblemFileError``."""
+    entry = EXAMPLES[name]
+    terms = entry.terms if terms is None else terms
+    if terms < 1:
+        raise ProblemFileError("need at least one term")
+    if not n > 0:
+        raise ProblemFileError("expansion parameter N must be positive")
+    order = entry.order(terms)
+    nf, p_callable = _phase_builtin(entry.phase, order + 2, eps, None)
+    q, q_callable = _amplitude_builtin(entry.amplitude, order + 2, eps,
+                                       nf.z0, None)
+    problem = Problem(nf, q, entry.a, entry.branch, order, p_callable,
+                      q_callable, entry.contour(eps), (n,))
+    parameters = ({"n": n, "eps": eps, "terms": terms} if entry.phase == "center"
+                  else {"n": n, "terms": terms})
+    return Example(name, parameters, problem, tuple(entry.table(terms, eps)),
+                   min(rel_tol, entry.rel_tol_cap))
 
 
 def _parse_a(value, line: int) -> ExponentParam:
@@ -271,10 +365,10 @@ def parse_problem_text(text: str) -> Problem:
         name = p_raw.get("builtin")
         if not isinstance(name, str):
             raise ProblemFileError("builtin phase needs a \"builtin\" name", pline)
-        p_order = p_raw.get("order", order + 4)
         eps_for_builtin = p_raw.get("eps")
-        nf, p_callable = _phase_builtin(name, max(p_order, order + 2),
-                                        eps_for_builtin, pline)
+        nf, p_callable = _phase_builtin(
+            name, _builtin_order(p_raw, order, "builtin phase", pline),
+            eps_for_builtin, pline)
         if z0 is not None and abs(z0 - nf.z0) > 1e-9:
             raise ProblemFileError(
                 f"z0 = {z0} conflicts with builtin expansion point {nf.z0}", z0line)
@@ -298,10 +392,9 @@ def parse_problem_text(text: str) -> Problem:
         name = q_raw.get("builtin")
         if not isinstance(name, str):
             raise ProblemFileError("builtin amplitude needs a \"builtin\" name", qline)
-        q_order = q_raw.get("order", order + 4)
         q, q_callable = _amplitude_builtin(
-            name, max(q_order, order + 2), q_raw.get("eps", eps_for_builtin),
-            nf.z0, qline)
+            name, _builtin_order(q_raw, order, "builtin amplitude", qline),
+            q_raw.get("eps", eps_for_builtin), nf.z0, qline)
         if abs(q.base - nf.z0) > 1e-9:
             raise ProblemFileError(
                 f"amplitude builtin {name!r} expands at {q.base}, "
@@ -362,3 +455,56 @@ def parse_problem_file(path: str) -> Problem:
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc.strerror}") from None
     return parse_problem_text(text)
+
+
+@dataclass(frozen=True)
+class Validation:
+    """The expansion against the quadrature oracle at one N."""
+
+    n: float
+    value: complex
+    oracle: QuadratureResult
+    digits: int
+
+
+@dataclass(frozen=True)
+class ProblemRun:
+    """What ``run_problem`` computed for one problem."""
+
+    expansion: AsymptoticExpansion
+    route_deviation: float
+    validations: tuple
+
+
+def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRun:
+    """Both alpha routes, assembly, and the expansion against the oracle
+    at each N of the problem.
+
+    The route deviation is the largest route difference relative to the
+    largest |alpha|.  The oracle takes the branch-tracked (z - z0)^(a-1)
+    factor when a != 1.  A branch variant that does not fit the saddle
+    raises ``ValueError``.
+    """
+    nf = problem.normal_form
+    alphas = alpha_bell(nf, problem.q, problem.a, problem.order)
+    cross = alpha_direct(nf, problem.q, problem.a, problem.order)
+    scale = max(max(abs(x) for x in alphas.alphas), 1e-300)
+    route_dev = max(abs(x - y) for x, y in
+                    zip(alphas.alphas, cross.alphas)) / scale
+    expansion = assemble(alphas, nf, problem.branch)
+
+    validations = []
+    for n in problem.n_values:
+        def f(z, n=n):
+            return cmath.exp(n * complex(problem.p_callable(z))) \
+                * complex(problem.q_callable(z))
+        if problem.a == 1:
+            oracle = integrate(f, problem.contour, abs_tol=0.0, rel_tol=rel_tol)
+        else:
+            oracle = integrate_power_factor(f, complex(problem.a), nf.z0,
+                                            problem.contour,
+                                            abs_tol=0.0, rel_tol=rel_tol)
+        value = expansion.evaluate(n, problem.order)
+        validations.append(Validation(n, value, oracle,
+                                      agreement_digits(value, oracle.value)))
+    return ProblemRun(expansion, route_dev, tuple(validations))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -43,15 +42,8 @@ DEFAULT_ABS_TOL = 1e-13
 DEFAULT_REL_TOL = 1e-11
 
 
-def _max_depth_default() -> int:
-    """Recursion depth cap; override with SADDLEPOINT_QUAD_DEPTH."""
-    raw = os.environ.get("SADDLEPOINT_QUAD_DEPTH")
-    if raw is None:
-        return 40
-    depth = int(raw)
-    if depth < 1:
-        raise ValueError("SADDLEPOINT_QUAD_DEPTH must be a positive integer")
-    return depth
+#: default cap on the bisection depth of one contour piece
+MAX_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -264,8 +256,6 @@ def _integrate_parameterized(integrands, abs_tol, rel_tol, max_depth):
     first set from a rough single-panel pass and the sweep repeats if
     the converged value reveals the budget was too loose.
     """
-    if max_depth is None:
-        max_depth = _max_depth_default()
     rough = sum(_gk15(g, 0.0, 1.0)[0] for g in integrands)
     evals_total = 15 * len(integrands)
     value = rough
@@ -295,7 +285,7 @@ def integrate(f: Callable[[complex], complex],
               contour: Contour,
               abs_tol: float = DEFAULT_ABS_TOL,
               rel_tol: float = DEFAULT_REL_TOL,
-              max_depth: Optional[int] = None) -> QuadratureResult:
+              max_depth: int = MAX_DEPTH) -> QuadratureResult:
     """Contour integral of f along ``contour``.
 
     f must be finite on the path; singularities are allowed only off
@@ -363,7 +353,7 @@ def integrate_power_factor(f: Callable[[complex], complex],
                            contour: Contour,
                            abs_tol: float = DEFAULT_ABS_TOL,
                            rel_tol: float = DEFAULT_REL_TOL,
-                           max_depth: Optional[int] = None) -> QuadratureResult:
+                           max_depth: int = MAX_DEPTH) -> QuadratureResult:
     """Integral of (z - z0)^(a-1) f(z) with a continuously tracked branch.
 
     The branch starts at ``contour.initial_branch_angle`` (principal

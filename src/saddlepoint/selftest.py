@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import classic
 from . import expansion
+from . import problemfile
 from . import quadrature
 from . import saddle
 from . import series
@@ -246,8 +247,10 @@ def check_vanishing_shift():
 
 def check_degenerate_constant():
     eps = 0.4
-    report = classic.equation_of_center(eps, s_count=3, n=50.0)
-    c0 = report.expansion.terms[0].coefficient
+    problem = problemfile.example_problem("center", eps=eps, terms=3).problem
+    nf = problem.normal_form
+    alphas = expansion.alpha_bell(nf, problem.q, problem.a, problem.order)
+    c0 = expansion.assemble(alphas, nf, problem.branch).terms[0].coefficient
     target = math.pi / math.sqrt(1.0 - eps * eps)
     if abs(c0 - target) > 1e-12 * target:
         raise AssertionError(f"degenerate term {c0} != pi/sqrt(1-eps^2) = {target}")

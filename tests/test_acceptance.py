@@ -11,12 +11,12 @@ import time
 from fractions import Fraction
 
 from saddlepoint.classic import (agreement_digits, center_d_values,
-                                 equation_of_center, gamma_contour,
-                                 gamma_normal_form, gamma_stirling,
-                                 kepler_d_table, kepler_plain, parabolic,
+                                 gamma_contour, gamma_normal_form,
+                                 gamma_stirling, kepler_d_table,
                                  parabolic_d_table)
 from saddlepoint.expansion import (EvenOpposite, Through, alpha_bell,
                                    alpha_direct, assemble, vanishing_shift)
+from saddlepoint.problemfile import example_problem, run_problem
 from saddlepoint.quadrature import builtin_integrand, integrate
 from saddlepoint.saddle import normalize, theta
 from saddlepoint.series import TruncatedSeries
@@ -31,6 +31,13 @@ def _report(number, ok, text):
 
 def _sig8(x: float) -> str:
     return f"{x:.8g}"
+
+
+def _example(name, terms, eps=0.4):
+    """The built-in example at N = 50: (expansion, validation point)."""
+    example = example_problem(name, n=50.0, eps=eps, terms=terms)
+    run = run_problem(example.problem, example.rel_tol)
+    return run.expansion, run.validations[0]
 
 
 def test_criterion_1_exact_tables():
@@ -52,27 +59,27 @@ def test_criterion_1_exact_tables():
 
 def test_criterion_2_kepler_agreement():
     start = time.perf_counter()
-    report = kepler_plain(10, 50.0)
-    rel = abs(report.expansion_value - report.oracle_value) / abs(report.oracle_value)
+    _, point = _example("kepler", 10)
+    rel = abs(point.value - point.oracle.value) / abs(point.oracle.value)
     elapsed = time.perf_counter() - start
-    ok = (_sig8(report.expansion_value.real) == "0.76283538"
-          and _sig8(report.oracle_value.real) == "0.76283538"
+    ok = (_sig8(point.value.real) == "0.76283538"
+          and _sig8(point.oracle.value.real) == "0.76283538"
           and rel <= 5e-9
-          and report.oracle.converged
+          and point.oracle.converged
           and elapsed < 30.0)
     _report(2, ok, f"N=50 S=10 rel={rel:.2e} in {elapsed:.1f}s")
 
 
 def test_criterion_3_center_agreement():
     start = time.perf_counter()
-    long = equation_of_center(0.4, 13, 50.0)
-    short = equation_of_center(0.4, 5, 50.0)
+    _, long = _example("center", 13)
+    _, short = _example("center", 5)
     elapsed = time.perf_counter() - start
-    quad_ok = abs(long.oracle_value - 2.8171413884e-14) / 2.8171413884e-14 < 1e-10
-    d5 = agreement_digits(short.expansion_value, long.oracle_value)
-    d13 = agreement_digits(long.expansion_value, long.oracle_value)
+    quad_ok = abs(long.oracle.value - 2.8171413884e-14) / 2.8171413884e-14 < 1e-10
+    d5 = agreement_digits(short.value, long.oracle.value)
+    d13 = agreement_digits(long.value, long.oracle.value)
     ok = (quad_ok and d5 >= 5 and d13 >= 10
-          and f"{short.expansion_value.real:.4e}".startswith("2.8171")
+          and f"{short.value.real:.4e}".startswith("2.8171")
           and long.oracle.converged and elapsed < 60.0)
     _report(3, ok, f"N=50 eps=2/5: S=5 -> {d5} digits, S=13 -> {d13} digits "
                    f"in {elapsed:.1f}s")
@@ -80,14 +87,14 @@ def test_criterion_3_center_agreement():
 
 def test_criterion_4_parabolic_agreement():
     start = time.perf_counter()
-    report = parabolic(8, 50.0)
+    _, point = _example("parabolic", 8)
     elapsed = time.perf_counter() - start
-    quad_ok = abs(report.oracle_value - (-9.357585773084)) / 9.357585773084 < 1e-10
+    quad_ok = abs(point.oracle.value - (-9.357585773084)) / 9.357585773084 < 1e-10
     ok = (quad_ok
-          and f"{report.expansion_value.real:.5f}".startswith("-9.35758")
-          and report.agreement_digits >= 6
-          and report.oracle.converged and elapsed < 60.0)
-    _report(4, ok, f"N=50 S=8 -> {report.agreement_digits} digits "
+          and f"{point.value.real:.5f}".startswith("-9.35758")
+          and point.digits >= 6
+          and point.oracle.converged and elapsed < 60.0)
+    _report(4, ok, f"N=50 S=8 -> {point.digits} digits "
                    f"in {elapsed:.1f}s")
 
 
@@ -177,7 +184,7 @@ def test_criterion_8_property_suite():
         shift_ok &= rep.passed
 
     eps = 0.4
-    degen = equation_of_center(eps, 3, 50.0).expansion.terms[0].coefficient
+    degen = _example("center", 3, eps)[0].terms[0].coefficient
     degen_ok = abs(degen - math.pi / math.sqrt(1 - eps * eps)) \
         < 1e-12 * math.pi / math.sqrt(1 - eps * eps)
 

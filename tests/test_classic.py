@@ -10,10 +10,9 @@ from saddlepoint.classic import (agreement_digits,
                                  center_d_values, center_fs_polynomial,
                                  center_gamma, center_normal_form,
                                  center_q_coeffs, center_saddle,
-                                 equation_of_center, gamma_report,
-                                 gamma_stirling, kepler_d_table, kepler_plain,
-                                 parabolic, parabolic_d_table,
-                                 parabolic_q_table)
+                                 gamma_stirling, kepler_d_table,
+                                 parabolic_d_table, parabolic_q_table)
+from saddlepoint.problemfile import example_problem, run_problem
 from saddlepoint.series import TruncatedSeries
 
 # reference values for the worked integrals at N = 50 (12-digit
@@ -21,6 +20,13 @@ from saddlepoint.series import TruncatedSeries
 KEPLER_REF = 0.762835382546
 CENTER_REF = 2.8171413884e-14
 PARABOLIC_REF = -9.357585773084
+
+
+def run_example(name, terms, eps=0.4):
+    """The built-in example at N = 50: (expansion, validation point)."""
+    example = example_problem(name, n=50.0, eps=eps, terms=terms)
+    run = run_problem(example.problem, example.rel_tol)
+    return run.expansion, run.validations[0]
 
 
 class TestExactTables:
@@ -62,46 +68,46 @@ class TestExactTables:
 
 class TestGammaReport:
     def test_agreement(self):
-        report = gamma_report(50.0, 3)
-        assert report.agreement_digits >= 9
-        assert report.oracle.converged
+        _, point = run_example("gamma", 3)
+        assert point.digits >= 9
+        assert point.oracle.converged
         # relative to the factorial integral over the whole half line
         from scipy.special import gammaln
         full = math.exp(gammaln(51.0) - 51.0 * math.log(50.0))
-        assert abs(report.oracle_value - full) / full < 1e-11
+        assert abs(point.oracle.value - full) / full < 1e-11
 
     def test_table_contents(self):
-        report = gamma_report(50.0, 3)
-        assert report.coefficient_table == (
+        example = example_problem("gamma", n=50.0, terms=3)
+        assert example.coefficient_table == (
             Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840))
-        assert report.name == "gamma"
+        assert example.name == "gamma"
 
     def test_digits_nondecreasing_in_corrections(self):
-        quad = gamma_report(50.0, 1).oracle_value
+        quad = run_example("gamma", 1)[1].oracle.value
         prev = -1
         for m in range(1, 5):
-            report = gamma_report(50.0, m)
-            digits = agreement_digits(report.expansion_value, quad)
+            _, point = run_example("gamma", m)
+            digits = agreement_digits(point.value, quad)
             assert digits >= prev
             prev = digits
 
 
 class TestKepler:
     def test_reference_digits(self):
-        report = kepler_plain(10, 50.0)
-        assert report.oracle.converged
-        assert abs(report.oracle_value - KEPLER_REF) / KEPLER_REF < 2e-12
-        rel = abs(report.expansion_value - report.oracle_value) / abs(report.oracle_value)
+        _, point = run_example("kepler", 10)
+        assert point.oracle.converged
+        assert abs(point.oracle.value - KEPLER_REF) / KEPLER_REF < 2e-12
+        rel = abs(point.value - point.oracle.value) / abs(point.oracle.value)
         assert rel < 5e-9
-        assert report.agreement_digits >= 8
-        assert f"{report.expansion_value.real:.8f}".startswith("0.76283538")
+        assert point.digits >= 8
+        assert f"{point.value.real:.8f}".startswith("0.76283538")
 
     def test_digits_nondecreasing_in_order(self):
-        quad = kepler_plain(1, 50.0).oracle_value
+        quad = run_example("kepler", 1)[1].oracle.value
         prev = -1
         for s_count in range(1, 11):
-            report = kepler_plain(s_count, 50.0)
-            digits = agreement_digits(report.expansion_value, quad)
+            _, point = run_example("kepler", s_count)
+            digits = agreement_digits(point.value, quad)
             assert digits >= prev
             prev = digits
 
@@ -109,9 +115,9 @@ class TestKepler:
         # coefficient of N^{-(s+1)/3} is
         # (2/3) cos(pi (s+1)/6) Gamma((s+1)/3) d(s) 6^{(s+1)/3}
         from scipy.special import gamma as cgamma
-        report = kepler_plain(10, 50.0)
+        expansion, _ = run_example("kepler", 10)
         d = kepler_d_table(9)
-        for t in report.expansion.terms:
+        for t in expansion.terms:
             s = t.s
             want = (2.0 / 3.0 * math.cos(math.pi * (s + 1) / 6)
                     * cgamma((s + 1) / 3) * float(d[s]) * 6.0 ** ((s + 1) / 3))
@@ -159,25 +165,25 @@ class TestCenter:
                 assert abs(rebuilt.coeffs[k] - h_coeff) < 1e-14, k
 
     def test_reference_digits(self):
-        report = equation_of_center(0.4, 13, 50.0)
-        assert report.oracle.converged
-        assert abs(report.oracle_value - CENTER_REF) / CENTER_REF < 1e-10
-        assert report.agreement_digits >= 10
-        short = equation_of_center(0.4, 5, 50.0)
-        assert short.agreement_digits >= 5
-        assert f"{short.expansion_value.real:.4e}".startswith("2.8171")
+        _, point = run_example("center", 13)
+        assert point.oracle.converged
+        assert abs(point.oracle.value - CENTER_REF) / CENTER_REF < 1e-10
+        assert point.digits >= 10
+        _, short = run_example("center", 5)
+        assert short.digits >= 5
+        assert f"{short.value.real:.4e}".startswith("2.8171")
 
     def test_degenerate_term_constant(self):
         eps = 0.4
-        report = equation_of_center(eps, 3, 50.0)
-        c0 = report.expansion.terms[0].coefficient
+        expansion, _ = run_example("center", 3, eps)
+        c0 = expansion.terms[0].coefficient
         target = math.pi / math.sqrt(1 - eps * eps)
         assert abs(c0 - target) < 1e-12 * target
-        assert report.expansion.terms[0].exponent == 0
+        assert expansion.terms[0].exponent == 0
 
     def test_even_terms_vanish(self):
-        report = equation_of_center(0.4, 9, 50.0)
-        for t in report.expansion.terms[2::2]:
+        expansion, _ = run_example("center", 9)
+        for t in expansion.terms[2::2]:
             assert abs(t.coefficient) < 1e-13
 
     @pytest.mark.parametrize("eps", [0.1 * k for k in range(1, 10)])
@@ -212,52 +218,52 @@ class TestCenter:
             assert want < 1.0
 
     def test_digits_nondecreasing_in_order(self):
-        quad = equation_of_center(0.4, 1, 50.0).oracle_value
+        quad = run_example("center", 1)[1].oracle.value
         prev = -1
         for s_count in range(1, 14):
-            report = equation_of_center(0.4, s_count, 50.0)
-            digits = agreement_digits(report.expansion_value, quad)
+            _, point = run_example("center", s_count)
+            digits = agreement_digits(point.value, quad)
             assert digits >= prev
             prev = digits
 
     def test_eps_range_rejected(self):
         with pytest.raises(ValueError):
-            equation_of_center(1.2, 5, 50.0)
+            example_problem("center", n=50.0, eps=1.2, terms=5)
         with pytest.raises(ValueError):
             center_gamma(0.0)
 
 
 class TestParabolic:
     def test_reference_digits(self):
-        report = parabolic(8, 50.0)
-        assert report.oracle.converged
-        assert abs(report.oracle_value - PARABOLIC_REF) / abs(PARABOLIC_REF) < 1e-10
-        assert report.agreement_digits >= 6
-        assert f"{report.expansion_value.real:.5f}".startswith("-9.35758")
+        _, point = run_example("parabolic", 8)
+        assert point.oracle.converged
+        assert abs(point.oracle.value - PARABOLIC_REF) / abs(PARABOLIC_REF) < 1e-10
+        assert point.digits >= 6
+        assert f"{point.value.real:.5f}".startswith("-9.35758")
 
     def test_first_term_grows_with_n(self):
         # leading exponent (0 - 1)/3 < 0: the main term carries N^{1/3}
-        report = parabolic(8, 50.0)
-        assert report.expansion.terms[0].exponent.real == pytest.approx(-1 / 3)
+        expansion, _ = run_example("parabolic", 8)
+        assert expansion.terms[0].exponent.real == pytest.approx(-1 / 3)
 
     def test_s1_term_vanishes_via_dstar(self):
-        report = parabolic(8, 50.0)
-        assert report.expansion.terms[1].coefficient == 0
+        expansion, _ = run_example("parabolic", 8)
+        assert expansion.terms[1].coefficient == 0
 
     def test_nonzero_pattern(self):
-        report = parabolic(8, 50.0)
-        for t in report.expansion.terms:
+        expansion, _ = run_example("parabolic", 8)
+        for t in expansion.terms:
             if t.s % 6 in (0, 2):
                 assert abs(t.coefficient) > 1e-12
             else:
                 assert abs(t.coefficient) < 1e-13
 
     def test_digits_nondecreasing_in_order(self):
-        quad = parabolic(1, 50.0).oracle_value
+        quad = run_example("parabolic", 1)[1].oracle.value
         prev = -1
         for s_count in range(1, 9):
-            report = parabolic(s_count, 50.0)
-            digits = agreement_digits(report.expansion_value, quad)
+            _, point = run_example("parabolic", s_count)
+            digits = agreement_digits(point.value, quad)
             assert digits >= prev
             prev = digits
 
@@ -269,5 +275,14 @@ class TestAgreementDigits:
         assert agreement_digits(2.0, 1.0) == 0
 
     def test_zero_reference(self):
-        assert agreement_digits(0.0, 0.0) == 16
+        # two zeros are an underflow, not an agreement
+        assert agreement_digits(0.0, 0.0) == 0
         assert agreement_digits(1.0, 0.0) == 0
+
+    def test_non_finite(self):
+        assert agreement_digits(math.inf, 1.0) == 0
+        assert agreement_digits(math.nan, 1.0) == 0
+        assert agreement_digits(1.0, complex(math.inf, 0.0)) == 0
+
+    def test_subnormal_reference(self):
+        assert agreement_digits(1.0, 5e-324) == 0

@@ -74,6 +74,14 @@ class TestExample:
         _, second, _ = run(capsys, ["example", "center", "--terms", "9"])
         assert first == second
 
+    def test_underflow_is_not_agreement(self, capsys):
+        # e^{-800} underflows: expansion and oracle are both 0, which
+        # shows no agreement at all
+        code, out, _ = run(capsys, ["example", "gamma", "--n", "800"])
+        assert code == 1
+        assert "agreement: 0 digits" in out
+        assert "agreement FAILURE" in out
+
     def test_bad_eps_is_input_error(self, capsys):
         code, _, err = run(capsys, ["example", "center", "--eps", "1.7"])
         assert code == 2
@@ -112,6 +120,30 @@ class TestExpand:
         code, _, err = run(capsys, ["expand", str(path)])
         assert code == 2
         assert "line" in err
+
+    def test_agreement_failure_exit_1(self, tmp_path, capsys):
+        # same exit rule as example: underflow to 0 at N = 800 agrees
+        # to no digits
+        path = tmp_path / "gamma.txt"
+        path.write_text(GAMMA_PROBLEM.replace("[50.0]", "[800.0]"))
+        code, out, _ = run(capsys, ["expand", str(path)])
+        assert code == 1
+        assert "agreement digits: 0" in out
+
+    @pytest.mark.parametrize("old, new", [
+        ('"gamma", "order": 12', '"center", "eps": 1.5'),
+        ('"gamma", "order": 12', '"center", "eps": "x"'),
+        ('"order": 12', '"order": 7.5'),
+    ])
+    def test_bad_builtin_parameter_exit_2(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.txt"
+        text = GAMMA_PROBLEM.replace(old, new)
+        if '"center"' in text:
+            text = text.replace("a = 1", "a = 0")
+        path.write_text(text)
+        code, _, err = run(capsys, ["expand", str(path)])
+        assert code == 2
+        assert "line 1" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, ["expand", "/no/such/file.txt"])

@@ -11,7 +11,7 @@ from scipy.special import gamma as cgamma
 
 from saddlepoint.expansion import (CirclePath, Endpoint, EvenOpposite, Through,
                                    alpha_bell, alpha_direct, assemble,
-                                   evaluate, vanishing_shift)
+                                   vanishing_shift)
 from saddlepoint.saddle import normalize
 from saddlepoint.series import TruncatedSeries
 
@@ -228,12 +228,6 @@ class TestEvaluate:
             exp.evaluate(10.0, 7)
         with pytest.raises(ValueError, match="positive"):
             exp.evaluate(-1.0, 2)
-
-    def test_module_level_evaluate(self):
-        rng = random.Random(46)
-        nf, q = random_instance(rng, 2)
-        exp = assemble(alpha_bell(nf, q, 1, 3), nf, Endpoint(0))
-        assert evaluate(exp, 20.0, 2) == exp.evaluate(20.0, 2)
 
     def test_gamma_against_quadrature(self):
         from saddlepoint.classic import gamma_contour, gamma_normal_form

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from saddlepoint.expansion import CirclePath, Endpoint, EvenOpposite
-from saddlepoint.problemfile import (ProblemFileError, parse_problem_text)
+from saddlepoint.problemfile import (EXAMPLES, ProblemFileError,
+                                     example_problem, parse_problem_text)
 
 GAMMA_TEXT = """\
 # factorial integral about its interior maximum
@@ -18,6 +19,14 @@ k = 0
 order = 6
 contour = [{"segment": [[0.05, 0.0], [4.0, 0.0]]}]
 n_values = [50.0]
+"""
+
+CENTER_TAIL = """\
+a = 0
+variant = "circle_path"
+k1 = 1
+k2 = 2
+order = 5
 """
 
 
@@ -157,3 +166,54 @@ order = 2
         bad = "z0 = [2.5, 0.0]\n" + GAMMA_TEXT
         with pytest.raises(ProblemFileError, match="conflicts"):
             parse_problem_text(bad)
+
+    @pytest.mark.parametrize("builtin", [
+        '{"builtin": "center", "eps": 1.7}',
+        '{"builtin": "center", "eps": 0}',
+        '{"builtin": "center", "eps": "0.4"}',
+        '{"builtin": "center", "eps": true}',
+    ])
+    def test_bad_builtin_eps(self, builtin):
+        text = f"p = {builtin}\n" + CENTER_TAIL
+        with pytest.raises(ProblemFileError, match="line 1: .*eccentricity"):
+            parse_problem_text(text)
+
+    def test_bad_amplitude_eps(self):
+        text = ('p = {"builtin": "center", "eps": 0.4}\n'
+                'q = {"builtin": "center", "eps": -2}\n' + CENTER_TAIL)
+        with pytest.raises(ProblemFileError, match="line 2: .*eccentricity"):
+            parse_problem_text(text)
+
+    @pytest.mark.parametrize("line, text", [
+        (2, GAMMA_TEXT.replace('"order": 12', '"order": 12.5')),
+        (2, GAMMA_TEXT.replace('"order": 12', '"order": "12"')),
+        (3, GAMMA_TEXT.replace('{"builtin": "one"}',
+                               '{"builtin": "one", "order": [8]}')),
+    ], ids=["phase-float", "phase-string", "amplitude-list"])
+    def test_bad_builtin_order(self, line, text):
+        with pytest.raises(ProblemFileError, match=f"line {line}: .*order"):
+            parse_problem_text(text)
+
+
+class TestExamples:
+    def test_registry_builds_every_example(self):
+        for name in EXAMPLES:
+            example = example_problem(name)
+            assert example.name == name
+            assert example.problem.n_values == (50.0,)
+            assert example.coefficient_table
+
+    def test_gamma_orders_and_tolerance_cap(self):
+        example = example_problem("gamma", terms=4, rel_tol=1e-6)
+        assert example.problem.order == 9
+        assert example.rel_tol == 1e-12
+        assert example.parameters == {"n": 50.0, "terms": 4}
+
+    def test_bad_parameters(self):
+        for terms in (0, -1):
+            with pytest.raises(ProblemFileError, match="term"):
+                example_problem("kepler", terms=terms)
+        with pytest.raises(ProblemFileError, match="positive"):
+            example_problem("kepler", n=0.0)
+        with pytest.raises(ProblemFileError, match="eccentricity"):
+            example_problem("center", eps=1.7)

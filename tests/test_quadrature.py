@@ -75,12 +75,10 @@ class TestIntegrate:
         bwd = integrate(f, path.reversed()).value
         assert abs(fwd + bwd) < 1e-13
 
-    def test_depth_env_override(self, monkeypatch):
+    def test_depth_limit(self):
         f = builtin_integrand("gamma", n=200.0)
-        monkeypatch.setenv("SADDLEPOINT_QUAD_DEPTH", "1")
         shallow = integrate(f, Contour.from_points([0.05, 4.0]),
-                            abs_tol=0.0, rel_tol=1e-12)
-        monkeypatch.delenv("SADDLEPOINT_QUAD_DEPTH")
+                            abs_tol=0.0, rel_tol=1e-12, max_depth=1)
         deep = integrate(f, Contour.from_points([0.05, 4.0]),
                          abs_tol=0.0, rel_tol=1e-12)
         assert deep.evaluations > shallow.evaluations
