@@ -23,14 +23,15 @@ Modules:
 
 __version__ = "1.0.0"
 
-from .series import (TruncatedSeries, BellArguments, bernoulli, stirling2,
-                     binomial, bell_hat, bell_hat_table, beta_glaisher)
+from .series import (TruncatedSeries, bernoulli, stirling2, binomial,
+                     bell_hat, bell_hat_table, beta_glaisher)
 from .saddle import (SaddleNormalForm, DirectionClass, RootResult,
                      MaxConditionReport, normalize, theta, sector_index,
                      classify_direction, find_saddle, check_max_condition)
 from .expansion import (AlphaSequence, AsymptoticExpansion, Term,
                         Endpoint, Through, EvenOpposite, CirclePath,
-                        alpha_bell, alpha_direct, assemble, vanishing_shift)
+                        bell_sums, alpha_bell, alpha_direct, assemble,
+                        vanishing_shift)
 from .quadrature import (Segment, Arc, Contour, QuadratureResult,
                          integrate, integrate_power_factor, builtin_integrand)
 from .classic import (agreement_digits, gamma_stirling, kepler_d_table,
@@ -42,14 +43,14 @@ from .waves import (WaveConstants, WaveExpansion, dilog, solve_constants,
 
 __all__ = [
     "__version__",
-    "TruncatedSeries", "BellArguments", "bernoulli", "stirling2", "binomial",
-    "bell_hat", "bell_hat_table", "beta_glaisher",
+    "TruncatedSeries", "bernoulli", "stirling2", "binomial", "bell_hat",
+    "bell_hat_table", "beta_glaisher",
     "SaddleNormalForm", "DirectionClass", "RootResult", "MaxConditionReport",
     "normalize", "theta", "sector_index", "classify_direction", "find_saddle",
     "check_max_condition",
     "AlphaSequence", "AsymptoticExpansion", "Term", "Endpoint", "Through",
-    "EvenOpposite", "CirclePath", "alpha_bell", "alpha_direct", "assemble",
-    "vanishing_shift",
+    "EvenOpposite", "CirclePath", "bell_sums", "alpha_bell", "alpha_direct",
+    "assemble", "vanishing_shift",
     "Segment", "Arc", "Contour", "QuadratureResult", "integrate",
     "integrate_power_factor", "builtin_integrand",
     "agreement_digits", "gamma_stirling", "kepler_d_table", "center_q_coeffs",

@@ -16,8 +16,8 @@ registry in :mod:`saddlepoint.problemfile` assembles them into
 * parabolic  - the eps = 1 limit with the double pole at the saddle
   (a = -1), rational table d*(s).
 
-Rational tables are computed in exact arithmetic; normal forms and
-amplitude series in double precision.
+Rational tables are :func:`saddlepoint.expansion.bell_sums` on exact
+Taylor data; normal forms and amplitude series are double precision.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expansion import alpha_bell
+from .expansion import alpha_bell, bell_sums
 from .quadrature import Arc, Contour, Segment
 from .saddle import SaddleNormalForm
-from .series import TruncatedSeries, bell_hat_table, bernoulli, beta_glaisher, binomial
+from .series import TruncatedSeries, bernoulli, beta_glaisher
 
 __all__ = [
     "agreement_digits",
@@ -58,14 +58,19 @@ __all__ = [
 def agreement_digits(value: complex, reference: complex) -> int:
     """floor(-log10(relative difference)), capped at 16.
 
-    0 when the reference is zero or either value is not finite: an
-    underflowed or overflowed comparison shows no agreement at all.
+    0 when the reference is zero or the difference is not finite (a
+    non-finite input or an overflow): an underflowed or overflowed
+    comparison shows no agreement at all.
     """
-    value, reference = complex(value), complex(reference)
-    if (reference == 0 or not cmath.isfinite(value)
-            or not cmath.isfinite(reference)):
+    diff = complex(value) - complex(reference)
+    reference = complex(reference)
+    if reference == 0 or not cmath.isfinite(diff):
         return 0
-    rel = abs(value - reference) / abs(reference)
+    try:
+        rel = abs(diff) / abs(reference)
+    except OverflowError:       # a modulus past the float range: halve
+        half_ref = abs(0.5 * reference)
+        rel = abs(0.5 * diff) / half_ref if half_ref else math.inf
     if not rel < 1.0:
         return 0
     if rel < 1e-16:
@@ -90,26 +95,15 @@ def gamma_stirling(m_max: int) -> list:
     """
     if m_max < 1:
         raise ValueError("need m_max >= 1")
-    args = _gamma_bell_args(2 * m_max)
-    table = bell_hat_table(2 * m_max, args)
-    out = []
-    for m in range(1, m_max + 1):
-        tau = Fraction(-2 * m - 1, 2)
-        acc = Fraction(0)
-        for j in range(2 * m + 1):
-            b = table[2 * m][j]
-            if b:
-                acc += binomial(tau, j) * b
-        prefactor = Fraction(math.factorial(2 * m),
-                             math.factorial(m) * 2 ** m)
-        out.append(prefactor * acc)
-    return out
+    sums = bell_sums([1] + [0] * (2 * m_max), _gamma_bell_args(2 * m_max),
+                     1, 2, 2 * m_max + 1)
+    return [Fraction(math.factorial(2 * m), math.factorial(m) * 2 ** m)
+            * sums[2 * m] for m in range(1, m_max + 1)]
 
 
 def gamma_normal_form(order: int) -> SaddleNormalForm:
     """Normal form of -z + log z at z0 = 1: mu = 2, p0 = 1/2."""
-    phi = [0.0 + 0.0j] + [complex(-Fraction(2 * (-1) ** s, s + 2))
-                          for s in range(1, order + 1)]
+    phi = [0.0 + 0.0j] + [complex(-r) for r in _gamma_bell_args(order)]
     return SaddleNormalForm(z0=1.0, p_at_z0=-1.0, mu=2, p0=0.5,
                             omega0=0.0, phi=TruncatedSeries(1.0, phi))
 
@@ -142,24 +136,12 @@ def kepler_d_table(s_max: int) -> list:
     (2/3) sum_s cos(pi (s+1)/6) Gamma((s+1)/3) d(s) (6/N)^{(s+1)/3};
     d(s) = 0 for odd s.
     """
-    args = _sine_bell_args(max(s_max, 1))
-    table = bell_hat_table(s_max, args) if s_max > 0 else [[Fraction(1)]]
-    out = []
-    for s in range(s_max + 1):
-        tau = Fraction(-(s + 1), 3)
-        acc = Fraction(0)
-        for j in range(s + 1):
-            b = table[s][j]
-            if b:
-                acc += binomial(tau, j) * b
-        out.append(acc)
-    return out
+    return bell_sums([1] + [0] * s_max, _sine_bell_args(s_max), 1, 3, s_max + 1)
 
 
 def kepler_normal_form(order: int) -> SaddleNormalForm:
     """Normal form of i(z - sin z) at 0: mu = 3, p0 = -i/6."""
-    ratios = _sine_bell_args(order)
-    phi = [0.0 + 0.0j] + [complex(-r) for r in ratios]
+    phi = [0.0 + 0.0j] + [complex(-r) for r in _sine_bell_args(order)]
     return SaddleNormalForm(z0=0.0, p_at_z0=0.0, mu=3, p0=-1j / 6.0,
                             omega0=-math.pi / 2.0,
                             phi=TruncatedSeries(0.0, phi))
@@ -307,25 +289,8 @@ def parabolic_d_table(s_max: int) -> list:
     d*(s) = sum_i q_{s-i} sum_j C(-(s-1)/3, j) B^_{i,j}(0, -3!/5!, ...),
     zero for odd s.
     """
-    qs = parabolic_q_table(s_max)
-    args = _sine_bell_args(max(s_max, 1))
-    table = bell_hat_table(s_max, args) if s_max > 0 else [[Fraction(1)]]
-    out = []
-    for s in range(s_max + 1):
-        tau = Fraction(-(s - 1), 3)
-        acc = Fraction(0)
-        for i in range(s + 1):
-            qc = qs[s - i]
-            if qc == 0:
-                continue
-            inner = Fraction(0)
-            for j in range(i + 1):
-                b = table[i][j]
-                if b:
-                    inner += binomial(tau, j) * b
-            acc += qc * inner
-        out.append(acc)
-    return out
+    return bell_sums(parabolic_q_table(s_max), _sine_bell_args(s_max), -1, 3,
+                     s_max + 1)
 
 
 def parabolic_contour(radius: float = 0.3) -> Contour:

@@ -197,8 +197,10 @@ def cmd_example(args) -> int:
 
 def _cmd_example_sylvester(args) -> int:
     out = sys.stdout
-    terms = args.terms if args.terms else 3
+    terms = 3 if args.terms is None else args.terms
     try:
+        if terms < 1:
+            raise ValueError("need at least one term")
         lam = Fraction(args.lam) if args.lam is not None else Fraction(1)
         n = int(args.n)
         if n != args.n:

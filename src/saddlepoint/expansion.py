@@ -8,10 +8,11 @@ interacting with the saddle z0, the coefficient core is
 
 computed here by two independent routes: a partial-ordinary-Bell
 polynomial sum over the Taylor data (``alpha_bell``) and per-order
-series powering (``alpha_direct``).  All fractional powers of p0 and N
-are principal; the contour's branch data enters only through sector
-phases e^{2 pi i k (s+a)/mu}, attached by :func:`assemble` according
-to how the contour meets the saddle:
+series powering (``alpha_direct``).  The Bell sum is :func:`bell_sums`,
+which on ``Fraction`` data also gives the exact tables of ``classic``.
+All fractional powers of p0 and N are principal; the contour's branch
+data enters only through sector phases e^{2 pi i k (s+a)/mu}, attached
+by :func:`assemble` according to how the contour meets the saddle:
 
 * ``Endpoint(k)``      - contour starts at z0 into valley k;
 * ``Through(k1, k2)``  - enters through valley k1, leaves through k2;
@@ -33,12 +34,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from scipy.special import gamma as _cgamma
 
 from .saddle import SaddleNormalForm
-from .series import TruncatedSeries, bell_hat_table, binomial
+from .series import TruncatedSeries, _factorial, bell_hat_table
 
 __all__ = [
     "AlphaSequence",
@@ -49,6 +50,7 @@ __all__ = [
     "BranchSpec",
     "Term",
     "AsymptoticExpansion",
+    "bell_sums",
     "alpha_bell",
     "alpha_direct",
     "assemble",
@@ -183,38 +185,59 @@ def _p0_power(p0: complex, exponent) -> complex:
     return cmath.exp(-complex(exponent) * cmath.log(p0))
 
 
-def alpha_bell(nf: SaddleNormalForm, q: TruncatedSeries,
-               a: ExponentParam, s_count: int) -> AlphaSequence:
-    """Coefficients via the partial ordinary Bell polynomial sum:
+def bell_sums(q: Sequence, ratios: Sequence, a: ExponentParam, mu: int,
+              s_count: int) -> list:
+    """The paper's coefficient sum, for s < s_count:
 
-    alpha_s = (1/mu) p0^(-(s+a)/mu) *
-              sum_{i<=s} q_{s-i} sum_{j<=i} C(-(s+a)/mu, j) B^_{i,j}(p1/p0, ...)
+    c_s = sum_{i<=s} q_{s-i} sum_{j<=i} C(-(s+a)/mu, j) B^_{i,j}(ratios)
 
-    where p_i / p0 are the normalized phase coefficients (equal to
-    -phi_i).  Needs q and phi resolved to order s_count - 1.
+    with ``ratios[i - 1]`` the normalized phase coefficient p_i/p0.
+    Exact ``Fraction`` arithmetic when a, q[:s_count] and
+    ratios[:s_count - 1] are all ints or Fractions, complex floating
+    point otherwise.  C(tau, j) comes from a running falling factorial,
+    with the same operations as :func:`series.binomial`.
     """
-    _require_resolved(nf, q, s_count)
     i_max = s_count - 1
-    ratios = [-nf.phi.coeffs[i] for i in range(1, i_max + 1)]
-    table = bell_hat_table(i_max, ratios)
+    exact = all(isinstance(x, (int, Fraction))
+                for x in (a, *q[:s_count], *ratios[:i_max]))
+    num = Fraction if exact else complex
+    table = bell_hat_table(i_max, ratios) if s_count > 0 else []
     out = []
     for s in range(s_count):
-        e_s = _exponent(s, a, nf.mu)
-        tau = -(complex(e_s))
-        inner_acc = 0.0 + 0.0j
+        e_s = _exponent(s, a, mu)
+        tau = -e_s if exact else -(complex(e_s))
+        binoms, falling = [], num(1)
+        for j in range(s + 1):
+            binoms.append(falling / _factorial(j))
+            falling = falling * (tau - j)
+        acc = num(0)
         for i in range(s + 1):
-            qc = q.coeffs[s - i]
+            qc = q[s - i]
             if qc == 0:
                 continue
-            bsum = 0.0 + 0.0j
+            bsum = num(0)
             for j in range(i + 1):
                 b = table[i][j]
                 if b == 0:
                     continue
-                bsum += binomial(tau, j) * complex(b)
-            inner_acc += qc * bsum
-        out.append(_p0_power(nf.p0, e_s) * inner_acc / nf.mu)
-    return AlphaSequence(a=a, alphas=tuple(out), mu=nf.mu, p0=nf.p0)
+                bsum += binoms[j] * b
+            acc += qc * bsum
+        out.append(acc)
+    return out
+
+
+def alpha_bell(nf: SaddleNormalForm, q: TruncatedSeries,
+               a: ExponentParam, s_count: int) -> AlphaSequence:
+    """Coefficients alpha_s = (1/mu) p0^(-(s+a)/mu) c_s, with c_s the
+    :func:`bell_sums` of q and the normalized phase coefficients
+    p_i/p0 = -phi_i.  Needs q and phi resolved to order s_count - 1.
+    """
+    _require_resolved(nf, q, s_count)
+    ratios = [-c for c in nf.phi.coeffs[1:s_count]]
+    sums = bell_sums(q.coeffs, ratios, a, nf.mu, s_count)
+    out = tuple(_p0_power(nf.p0, _exponent(s, a, nf.mu)) * c / nf.mu
+                for s, c in enumerate(sums))
+    return AlphaSequence(a=a, alphas=out, mu=nf.mu, p0=nf.p0)
 
 
 def alpha_direct(nf: SaddleNormalForm, q: TruncatedSeries,

@@ -4,8 +4,8 @@ Two coefficient domains are deliberately kept apart:
 
 * exact ``fractions.Fraction`` arithmetic for the combinatorial kernels
   (Bernoulli numbers, Stirling set numbers, partial ordinary Bell
-  polynomials, generalized binomials), so that rational coefficient
-  tables come out exact;
+  polynomials of a plain argument sequence, generalized binomials), so
+  that rational coefficient tables come out exact;
 * double-precision ``complex`` for general analytic series, wrapped in
   :class:`TruncatedSeries`.
 
@@ -24,7 +24,6 @@ Scalar = Union[int, float, complex, Fraction]
 
 __all__ = [
     "TruncatedSeries",
-    "BellArguments",
     "bernoulli",
     "stirling2",
     "binomial",
@@ -102,40 +101,11 @@ def _factorial(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class BellArguments:
-    """Argument list for partial ordinary Bell polynomials.
-
-    ``args[i - 1]`` holds the value attached to index i, matching the
-    1-based convention of the generating function
-    (p_1 x + p_2 x^2 + ...)^j.
-    """
-
-    args: tuple
-
-    def __init__(self, args: Sequence[Scalar]):
-        object.__setattr__(self, "args", tuple(args))
-
-    def __len__(self) -> int:
-        return len(self.args)
-
-    def get(self, i: int) -> Scalar:
-        if i < 1 or i > len(self.args):
-            raise IndexError(f"Bell argument p_{i} not supplied "
-                             f"(have 1..{len(self.args)})")
-        return self.args[i - 1]
-
-
-def _coerce_bell_args(p) -> tuple:
-    if isinstance(p, BellArguments):
-        return p.args
-    return tuple(p)
-
-
-def bell_hat(i: int, j: int, p) -> Scalar:
+def bell_hat(i: int, j: int, p: Sequence[Scalar]) -> Scalar:
     """Partial ordinary Bell polynomial B^_{i,j}(p_1, p_2, ...).
 
-    Defined as the coefficient of x^i in (p_1 x + p_2 x^2 + ...)^j.
+    Defined as the coefficient of x^i in (p_1 x + p_2 x^2 + ...)^j,
+    with ``p[i - 1]`` the value attached to index i.
     Exact when the arguments are ints or Fractions.  By convention
     B^_{0,0} = 1, and B^_{i,j} = 0 when j > i or when i > 0, j = 0.
     """
@@ -145,24 +115,22 @@ def bell_hat(i: int, j: int, p) -> Scalar:
         return 1 if j == 0 else 0
     if j == 0 or j > i:
         return 0
-    args = _coerce_bell_args(p)
-    if len(args) < i:
-        raise ValueError(f"need Bell arguments p_1..p_{i}, got {len(args)}")
-    return bell_hat_table(i, args)[i][j]
+    if len(p) < i:
+        raise ValueError(f"need Bell arguments p_1..p_{i}, got {len(p)}")
+    return bell_hat_table(i, p)[i][j]
 
 
-def bell_hat_table(i_max: int, p) -> list:
+def bell_hat_table(i_max: int, p: Sequence[Scalar]) -> list:
     """Table t with t[i][j] = B^_{i,j} for 0 <= j <= i <= i_max.
 
     Built by repeated truncated multiplication with the argument
     series, which costs O(i_max^2) per power.  Exact for exact inputs.
     """
-    args = _coerce_bell_args(p)
-    if i_max > 0 and len(args) < i_max:
-        raise ValueError(f"need Bell arguments p_1..p_{i_max}, got {len(args)}")
+    if i_max > 0 and len(p) < i_max:
+        raise ValueError(f"need Bell arguments p_1..p_{i_max}, got {len(p)}")
     zero = Fraction(0) if all(
-        isinstance(a, (int, Fraction)) for a in args[:i_max]) else 0.0 + 0.0j
-    base = [zero] + [args[k] for k in range(i_max)]  # coefficient of x^k
+        isinstance(a, (int, Fraction)) for a in p[:i_max]) else 0.0 + 0.0j
+    base = [zero] + [p[k] for k in range(i_max)]  # coefficient of x^k
     table = [[zero] * (i_max + 1) for _ in range(i_max + 1)]
     table[0][0] = zero + 1
     power = [zero] * (i_max + 1)
@@ -330,10 +298,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             self.base,
             [(s + 1) * self.coeffs[s + 1] for s in range(self.order)])
-
-    def rebase(self, base: complex) -> "TruncatedSeries":
-        """Reinterpret the same coefficients about a different base point."""
-        return TruncatedSeries(base, self.coeffs)
 
     # -- analytic operations ----------------------------------------------
 

@@ -31,8 +31,12 @@ def run_example(name, terms, eps=0.4):
 
 class TestExactTables:
     def test_stirling_rationals(self):
-        assert gamma_stirling(3) == [
-            Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840)]
+        # OEIS A001163/A001164
+        assert gamma_stirling(8) == [
+            Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840),
+            Fraction(-571, 2488320), Fraction(163879, 209018880),
+            Fraction(5246819, 75246796800), Fraction(-534703531, 902961561600),
+            Fraction(-4483131259, 86684309913600)]
 
     def test_kepler_d(self):
         d = kepler_d_table(8)
@@ -286,3 +290,11 @@ class TestAgreementDigits:
 
     def test_subnormal_reference(self):
         assert agreement_digits(1.0, 5e-324) == 0
+
+    def test_huge_finite_values(self):
+        z = complex(1.5e308, 1.5e308)
+        assert agreement_digits(z, z) == 16
+
+    def test_overflowing_difference(self):
+        assert agreement_digits(1.5e308, -1.5e308) == 0
+        assert agreement_digits(complex(1.5e308, 1.5e308), 1e-300) == 0

@@ -93,6 +93,12 @@ class TestExample:
         assert code == 2
         assert "integer" in err
 
+    def test_sylvester_zero_terms_is_input_error(self, capsys):
+        code, out, err = run(capsys, ["example", "sylvester", "--terms", "0"])
+        assert code == 2
+        assert out == ""
+        assert "need at least one term" in err
+
     def test_sylvester_json(self, capsys):
         code, out, _ = run(capsys, ["example", "sylvester", "--n", "2000",
                                     "--lambda", "1", "--terms", "2",

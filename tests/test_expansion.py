@@ -11,7 +11,7 @@ from scipy.special import gamma as cgamma
 
 from saddlepoint.expansion import (CirclePath, Endpoint, EvenOpposite, Through,
                                    alpha_bell, alpha_direct, assemble,
-                                   vanishing_shift)
+                                   bell_sums, vanishing_shift)
 from saddlepoint.saddle import normalize
 from saddlepoint.series import TruncatedSeries
 
@@ -89,6 +89,28 @@ class TestAlphaFormulas:
             want = (cmath.exp(1j * math.pi * (s - 1) / 6)
                     * 6.0 ** ((s - 1) / 3) * float(d[s]) / 3)
             assert abs(alphas.alphas[s] - want) < 1e-13 * max(1, abs(want))
+
+    def test_bell_sums_exact_matches_float(self):
+        # rational data stays exact; complex a or q takes the float path
+        rng = random.Random(34)
+
+        def rat():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+        for trial in range(120):
+            mu = rng.randint(1, 4)
+            a = [1, Fraction(1, 2), -1, Fraction(-2, 3)][trial % 4]
+            s_count = rng.randint(1, 10)
+            q = [rat() for _ in range(s_count)]
+            ratios = [rat() for _ in range(s_count - 1)]
+            exact = bell_sums(q, ratios, a, mu, s_count)
+            assert all(type(c) is Fraction for c in exact)
+            scale = max(abs(c) for c in exact)
+            for floats in (bell_sums([complex(c) for c in q], ratios, a, mu, s_count),
+                           bell_sums(q, ratios, complex(a), mu, s_count)):
+                assert all(type(c) is complex for c in floats)
+                for e, f in zip(exact, floats):
+                    assert abs(f - complex(e)) <= 1e-12 * (abs(e) or scale)
 
     def test_under_resolved_rejected(self):
         nf, q = random_instance(random.Random(33), 2, order=3)

@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from saddlepoint.series import (BellArguments, TruncatedSeries, bell_hat,
-                                bell_hat_table, bernoulli, beta_glaisher,
-                                binomial, stirling2)
+from saddlepoint.series import (TruncatedSeries, bell_hat, bell_hat_table,
+                                bernoulli, beta_glaisher, binomial, stirling2)
 
 
 def random_series(rng, base=0.0, order=8, constant=None):
@@ -327,14 +326,6 @@ class TestBellHat:
     def test_insufficient_arguments(self):
         with pytest.raises(ValueError, match="argument"):
             bell_hat(5, 2, [1, 2])
-
-    def test_bell_arguments_wrapper(self):
-        wrapped = BellArguments([1, 2, 3])
-        assert wrapped.get(2) == 2
-        assert len(wrapped) == 3
-        assert bell_hat(3, 1, wrapped) == 3
-        with pytest.raises(IndexError):
-            wrapped.get(4)
 
 
 class TestBetaGlaisher:
