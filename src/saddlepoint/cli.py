@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -201,12 +202,19 @@ def _cmd_example_sylvester(args) -> int:
     try:
         if terms < 1:
             raise ValueError("need at least one term")
-        lam = Fraction(args.lam) if args.lam is not None else Fraction(1)
+        try:
+            lam = Fraction(args.lam) if args.lam is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"lambda {args.lam} has a zero denominator") from None
+        if not args.n.is_integer():
+            raise ValueError(f"N must be an integer for wave evaluation, not {args.n}")
         n = int(args.n)
-        if n != args.n:
-            raise ValueError("N must be an integer for wave evaluation")
         expansion = waves.wave_coefficients(lam, t_max=terms - 1)
-        values = [(t, expansion.main_term(n, t)) for t in range(1, terms + 1)]
+        try:
+            values = [(t, expansion.main_term(n, t)) for t in range(1, terms + 1)]
+        except OverflowError:
+            raise ValueError(
+                f"w0^(-N) overflows double precision at N = {n}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -265,6 +273,18 @@ def cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` argument: a positive finite float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, not {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saddlepoint",
@@ -277,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("file")
     p_expand.add_argument("--format", choices=("text", "json", "tsv"),
                           default="text")
-    p_expand.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
+    p_expand.add_argument("--tol", type=_tolerance, default=DEFAULT_REL_TOL,
                           help="quadrature relative tolerance")
     p_expand.set_defaults(func=cmd_expand)
 
@@ -290,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.add_argument("--terms", type=int, default=None)
     p_example.add_argument("--format", choices=("text", "json", "tsv"),
                            default="text")
-    p_example.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
+    p_example.add_argument("--tol", type=_tolerance, default=DEFAULT_REL_TOL,
                            help="quadrature relative tolerance")
     p_example.set_defaults(func=cmd_example)
 

@@ -6,10 +6,11 @@ interacting with the saddle z0, the coefficient core is
     alpha_s = (1 / (mu s!)) p0^(-(s+a)/mu)
               d^s/dz^s [ q(z) (1 - phi(z))^(-(s+a)/mu) ]  at z = z0,
 
-computed here by two independent routes: a partial-ordinary-Bell
-polynomial sum over the Taylor data (``alpha_bell``) and per-order
-series powering (``alpha_direct``).  The Bell sum is :func:`bell_sums`,
-which on ``Fraction`` data also gives the exact tables of ``classic``.
+computed here by two independent routes: the partial-ordinary-Bell
+polynomial sum :func:`bell_sums` over the Taylor data (``alpha_bell``;
+on ``Fraction`` data it also gives the exact tables of ``classic``)
+and per-order series powering by J.C.P. Miller's recurrence
+(``alpha_direct``), which shares no arithmetic with ``bell_sums``.
 All fractional powers of p0 and N are principal; the contour's branch
 data enters only through sector phases e^{2 pi i k (s+a)/mu}, attached
 by :func:`assemble` according to how the contour meets the saddle:
@@ -244,19 +245,19 @@ def alpha_direct(nf: SaddleNormalForm, q: TruncatedSeries,
                  a: ExponentParam, s_count: int) -> AlphaSequence:
     """Coefficients via per-order series powering.
 
-    For each s the series q(z) (1 - phi(z))^(-(s+a)/mu) is formed with
-    a fresh complex-power expansion and its index-s coefficient is
-    scaled by p0^(-(s+a)/mu) / mu.  Independent of the Bell route.
+    For each s, w = (1 - phi)^(-(s+a)/mu) is formed to order s by
+    Miller's recurrence (:meth:`TruncatedSeries.cpow`), and
+    alpha_s = p0^(-(s+a)/mu) / mu * sum_{i<=s} q_{s-i} w_i.  Shares no
+    arithmetic with :func:`bell_sums`, so it cross-checks the Bell route.
     """
     _require_resolved(nf, q, s_count)
-    qt = q.truncate(s_count - 1)
-    base = nf.one_minus_phi().truncate(s_count - 1)
+    base = nf.one_minus_phi()
     out = []
     for s in range(s_count):
         e_s = _exponent(s, a, nf.mu)
-        w = base.cpow(-complex(e_s))
-        prod = qt * w
-        out.append(_p0_power(nf.p0, e_s) * prod.coeffs[s] / nf.mu)
+        w = base.truncate(s).cpow(-complex(e_s)).coeffs
+        c_s = sum(q.coeffs[s - i] * w[i] for i in range(s + 1))
+        out.append(_p0_power(nf.p0, e_s) * c_s / nf.mu)
     return AlphaSequence(a=a, alphas=tuple(out), mu=nf.mu, p0=nf.p0)
 
 

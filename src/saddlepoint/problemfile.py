@@ -214,6 +214,8 @@ def example_problem(name: str, n: float = 50.0, eps: float = 0.4,
         raise ProblemFileError("need at least one term")
     if not n > 0:
         raise ProblemFileError("expansion parameter N must be positive")
+    if not math.isfinite(n):
+        raise ProblemFileError(f"expansion parameter N must be finite, not {n}")
     order = entry.order(terms)
     nf, p_callable = _phase_builtin(entry.phase, order + 2, eps, None)
     q, q_callable = _amplitude_builtin(entry.amplitude, order + 2, eps,
@@ -434,9 +436,9 @@ def parse_problem_text(text: str) -> Problem:
     if n_raw is not None:
         if (not isinstance(n_raw, list) or not n_raw
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           and x > 0 for x in n_raw)):
-            raise ProblemFileError("n_values must be a list of positive numbers",
-                                   nline)
+                           and 0 < x < math.inf for x in n_raw)):
+            raise ProblemFileError(
+                "n_values must be a list of positive finite numbers", nline)
         n_values = tuple(float(x) for x in n_raw)
     if n_values and contour is None:
         raise ProblemFileError("n_values given without a contour", nline)

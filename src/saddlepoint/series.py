@@ -332,75 +332,24 @@ class TruncatedSeries:
             acc = acc * inner_t + self.coeffs[s]
         return acc
 
-    def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse: g with self(g(w)) = w + O(w^(order+1)).
-
-        Requires zero constant term and nonzero linear term.  The
-        result is a series in w about 0, with the same base point kept
-        for bookkeeping.
-        """
-        if self.coeffs[0] != 0:
-            raise ValueError("reversion needs zero constant term")
-        f1 = self.coeffs[1] if self.order >= 1 else 0.0
-        if f1 == 0:
-            raise ValueError("reversion needs nonzero linear term")
-        n = self.order
-        g = [0.0 + 0.0j] * (n + 1)
-        g[1] = 1.0 / f1
-        for k in range(2, n + 1):
-            trial = TruncatedSeries(self.base, g)
-            h = self.compose(trial)
-            g[k] = -h.coeffs[k] / f1
-        return TruncatedSeries(self.base, g)
-
-    def log(self) -> "TruncatedSeries":
-        """log(self) for a series with constant term 1 (principal branch)."""
-        if self.coeffs[0] != 1:
-            raise ValueError("series log requires constant term exactly 1")
-        n = self.order
-        out = [0.0 + 0.0j] * (n + 1)
-        for k in range(n):
-            acc = (k + 1) * self.coeffs[k + 1]
-            for i in range(1, k + 1):
-                acc -= self.coeffs[i] * (k + 1 - i) * out[k + 1 - i]
-            out[k + 1] = acc / (k + 1)
-        return TruncatedSeries(self.base, out)
-
-    def exp(self) -> "TruncatedSeries":
-        """exp(self) for a series with zero constant term."""
-        if self.coeffs[0] != 0:
-            raise ValueError("series exp requires zero constant term")
-        n = self.order
-        out = [0.0 + 0.0j] * (n + 1)
-        out[0] = 1.0 + 0.0j
-        for k in range(n):
-            acc = 0.0 + 0.0j
-            for i in range(k + 1):
-                acc += (i + 1) * self.coeffs[i + 1] * out[k - i]
-            out[k + 1] = acc / (k + 1)
-        return TruncatedSeries(self.base, out)
-
     def cpow(self, tau: Scalar) -> "TruncatedSeries":
         """Principal complex power self**tau for constant term exactly 1.
 
-        Uses the binomial sum sum_j C(tau, j) (self - 1)^j at low order
-        and exp(tau * log self) past order 12, where the binomial route
-        starts losing accuracy.
+        J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7):
+        w_0 = 1 and k w_k = sum_{i=1..k} ((tau + 1) i - k) f_i w_{k-i},
+        the coefficient form of f w' = tau f' w.
         """
         if self.coeffs[0] != 1:
             raise ValueError("cpow requires constant term exactly 1")
-        t = complex(tau)
-        if self.order > 12:
-            return (self.log() * t).exp()
-        u = self - 1.0
-        acc = TruncatedSeries.constant(1.0, self.base, self.order)
-        power = TruncatedSeries.constant(1.0, self.base, self.order)
-        coeff = 1.0 + 0.0j
-        for j in range(1, self.order + 1):
-            power = power * u
-            coeff = coeff * (t - (j - 1)) / j
-            acc = acc + power * coeff
-        return acc
+        t1 = complex(tau) + 1.0
+        f = self.coeffs
+        w = [1.0 + 0.0j]
+        for k in range(1, self.order + 1):
+            acc = 0.0 + 0.0j
+            for i in range(1, k + 1):
+                acc += (t1 * i - k) * f[i] * w[k - i]
+            w.append(acc / k)
+        return TruncatedSeries(self.base, w)
 
     def __repr__(self) -> str:
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[:5])

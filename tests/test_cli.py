@@ -25,6 +25,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_or_exit(capsys, argv):
+    """``run``, also for argument errors that argparse ends with SystemExit."""
+    try:
+        return run(capsys, argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
 class TestExample:
     def test_gamma_exact_rationals(self, capsys):
         code, out, _ = run(capsys, ["example", "gamma", "--terms", "8"])
@@ -99,6 +108,28 @@ class TestExample:
         assert out == ""
         assert "need at least one term" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "20000"], "overflows"),
+        (["--n", "inf"], "integer"),
+        (["--lambda", "1/0"], "zero denominator"),
+    ])
+    def test_sylvester_crash_is_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, ["example", "sylvester", *argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gamma", "--n", "inf"], "finite"),
+        (["kepler", "--tol", "-1"], "--tol"),
+        (["gamma", "--tol", "nan"], "--tol"),
+    ])
+    def test_bad_n_or_tol_is_input_error(self, capsys, argv, message):
+        code, out, err = run_or_exit(capsys, ["example", *argv])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and message in err
+
     def test_sylvester_json(self, capsys):
         code, out, _ = run(capsys, ["example", "sylvester", "--n", "2000",
                                     "--lambda", "1", "--terms", "2",
@@ -150,6 +181,18 @@ class TestExpand:
         code, _, err = run(capsys, ["expand", str(path)])
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("n_values, argv", [
+        ("[Infinity]", []),
+        ("[50.0]", ["--tol", "0"]),
+    ])
+    def test_bad_n_or_tol_exit_2(self, tmp_path, capsys, n_values, argv):
+        path = tmp_path / "gamma.txt"
+        path.write_text(GAMMA_PROBLEM.replace("[50.0]", n_values))
+        code, out, err = run_or_exit(capsys, ["expand", str(path), *argv])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, ["expand", "/no/such/file.txt"])

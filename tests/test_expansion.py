@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from scipy.special import gamma as cgamma
 
+from saddlepoint.classic import gamma_normal_form
 from saddlepoint.expansion import (CirclePath, Endpoint, EvenOpposite, Through,
                                    alpha_bell, alpha_direct, assemble,
                                    bell_sums, vanishing_shift)
@@ -118,6 +119,13 @@ class TestAlphaFormulas:
             alpha_bell(nf, q, 1, 12)
         with pytest.raises(ValueError, match="resolved"):
             alpha_direct(nf, q, 1, 12)
+
+    @pytest.mark.parametrize("s_count", [20, 40])
+    def test_direct_prefix_independent_of_count(self, s_count):
+        nf = gamma_normal_form(s_count + 2)
+        q = TruncatedSeries.constant(1.0, nf.z0, s_count)
+        assert (alpha_direct(nf, q, 1, s_count).alphas[:10]
+                == alpha_direct(nf, q, 1, 10).alphas)
 
 
 class TestOracleEquivalence:

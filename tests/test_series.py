@@ -90,15 +90,6 @@ class TestCompose:
         assert [round(c.real) for c in got.coeffs] == [1, 2, 4, 8, 16]
         assert max(abs(c.imag) for c in got.coeffs) == 0
 
-    def test_compose_with_reversion_gives_identity(self):
-        rng = random.Random(104)
-        f = TruncatedSeries(0.0, [0, 1.3 - 0.4j] + [
-            complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            for _ in range(7)])
-        ident = f.compose(f.reversion())
-        target = TruncatedSeries(0.0, [0, 1] + [0] * 7)
-        assert max_coeff_diff(ident, target) < 1e-12
-
     def test_nonzero_constant_term_rejected(self):
         outer = TruncatedSeries(0.0, [1, 1])
         inner = TruncatedSeries(0.0, [0.5, 1])
@@ -127,15 +118,18 @@ class TestRecip:
 
 class TestCpow:
     def test_geometric(self):
-        got = TruncatedSeries(0.0, [1, -1, 0, 0]).cpow(-1)
-        assert max(abs(c - 1) for c in got.coeffs) < 1e-14
+        for order in (3, 13, 30):
+            got = TruncatedSeries(0.0, [1, -1] + [0] * (order - 1)).cpow(-1)
+            assert got.order == order
+            assert max(abs(c - 1) for c in got.coeffs) < 1e-14
 
     def test_binomial_by_hand(self):
-        # (1+z)^{1/2} = 1 + z/2 - z^2/8 + ...
-        got = TruncatedSeries(0.0, [1, 1, 0]).cpow(0.5)
-        assert abs(got.coeffs[0] - 1) < 1e-15
-        assert abs(got.coeffs[1] - 0.5) < 1e-15
-        assert abs(got.coeffs[2] + 0.125) < 1e-15
+        # (1+z)^{1/2} = 1 + z/2 - z^2/8 + ... = sum_k C(1/2, k) z^k
+        for order in (2, 13, 30):
+            got = TruncatedSeries(0.0, [1, 1] + [0] * (order - 1)).cpow(0.5)
+            assert got.order == order
+            for k, c in enumerate(got.coeffs):
+                assert abs(c - float(binomial(Fraction(1, 2), k))) < 1e-15
 
     @pytest.mark.parametrize("order", [8, 16])
     def test_power_addition_property(self, order):
@@ -152,12 +146,6 @@ class TestCpow:
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError, match="constant"):
             TruncatedSeries(0.0, [2, 1]).cpow(0.5)
-
-    def test_exp_log_roundtrip(self):
-        rng = random.Random(107)
-        for _ in range(10):
-            f = random_series(rng, order=9, constant=1.0)
-            assert max_coeff_diff(f.log().exp(), f) < 1e-12
 
 
 class TestRingLaws:
