@@ -27,8 +27,6 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .expansion import alpha_bell, bell_sums
 from .quadrature import Arc, Contour, Segment
 from .saddle import SaddleNormalForm
@@ -240,24 +238,35 @@ def center_fs_polynomial(s: int, sample_eps: Optional[Sequence[float]] = None):
     """Recover the polynomial f_s with d(s) = f_s(eps^2)/(1-eps^2)^{(s+1)/2}.
 
     The polynomial form is observed, not proven, so it is fitted by
-    least squares over sample eccentricities (degree (s-1)/2 needs
-    (s+1)/2 coefficients) and returned with the fit residual; a
+    exact least squares over sample eccentricities (degree (s-1)/2 needs
+    (s+1)/2 coefficients): the normal equations V^T V c = V^T y are
+    solved by Gauss-Jordan elimination on the samples as Fractions.
+    Returns the coefficients as floats with the fit residual; a
     residual above ~1e-10 means the form failed at this order.
     """
     if s < 1 or s % 2 == 0:
         raise ValueError("the polynomial structure applies to odd s >= 1")
-    degree = (s - 1) // 2
+    n = (s + 1) // 2
     if sample_eps is None:
-        sample_eps = [0.15 + 0.07 * i for i in range(degree + 4)]
-    xs = np.array([e * e for e in sample_eps])
-    ys = []
+        sample_eps = [0.15 + 0.07 * i for i in range(n + 3)]
+    rows, ys = [], []
     for e in sample_eps:
+        rows.append([Fraction(e * e) ** k for k in range(n)])
         d = center_d_values(e, s)[s]
-        ys.append(d.real * (1.0 - e * e) ** ((s + 1) / 2.0))
-    vander = np.vander(xs, degree + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(vander, np.array(ys), rcond=None)
-    residual = float(np.max(np.abs(vander @ coeffs - np.array(ys))))
-    return list(coeffs), residual
+        ys.append(Fraction(d.real * (1.0 - e * e) ** ((s + 1) / 2.0)))
+    aug = [[sum(r[i] * r[j] for r in rows) for j in range(n)]
+           + [sum(r[i] * y for r, y in zip(rows, ys))] for i in range(n)]
+    for col in range(n):   # V^T V is positive definite: no pivoting
+        if aug[col][col] == 0:
+            raise ValueError(f"need at least {n} distinct sample eccentricities")
+        for r in range(n):
+            if r != col:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    coeffs = [aug[i][n] / aug[i][i] for i in range(n)]
+    residual = max(abs(sum(c * v for c, v in zip(coeffs, r)) - y)
+                   for r, y in zip(rows, ys))
+    return [float(c) for c in coeffs], float(residual)
 
 
 # ----------------------------------------------------------------------

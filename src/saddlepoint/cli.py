@@ -98,13 +98,20 @@ def _quadrature_line(oracle) -> str:
             f"{'converged' if oracle.converged else 'NOT converged'})\n")
 
 
+def _input_error(exc: Exception) -> str:
+    if isinstance(exc, OverflowError):
+        return (f"a coefficient or N^(-exponent) overflows double precision "
+                f"({exc}); use fewer terms or a larger N")
+    return str(exc)
+
+
 def cmd_expand(args) -> int:
     out = sys.stdout
     try:
         problem = parse_problem_file(args.file)
         run = run_problem(problem, args.tol)
-    except ValueError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {args.file}: {_input_error(exc)}", file=sys.stderr)
         return 2
     nf = problem.normal_form
     expansion = run.expansion
@@ -157,8 +164,8 @@ def cmd_example(args) -> int:
         example = example_problem(args.name, args.n, args.eps, args.terms,
                                   args.tol)
         run = run_problem(example.problem, example.rel_tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {_input_error(exc)}", file=sys.stderr)
         return 2
     (point,) = run.validations
     status = _status(run)

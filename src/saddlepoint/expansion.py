@@ -13,15 +13,18 @@ and per-order series powering by J.C.P. Miller's recurrence
 (``alpha_direct``), which shares no arithmetic with ``bell_sums``.
 All fractional powers of p0 and N are principal; the contour's branch
 data enters only through sector phases e^{2 pi i k (s+a)/mu}, attached
-by :func:`assemble` according to how the contour meets the saddle:
+by :func:`assemble` according to how the contour meets the saddle,
+with the Gamma factor Gamma((s+a)/mu) from ``math.gamma`` on the real
+axis and from Lanczos' approximation (g = 7, n = 9; SIAM J. Numer.
+Anal. B 1, 1964) with reflection elsewhere:
 
 * ``Endpoint(k)``      - contour starts at z0 into valley k;
 * ``Through(k1, k2)``  - enters through valley k1, leaves through k2;
 * ``EvenOpposite(k)``  - straight passage between opposite valleys
   (mu even): odd orders cancel, even ones double;
 * ``CirclePath(k1, k2)`` - path circles z0 between the two valleys,
-  winding (k2 - k1)/mu turns; exact non-positive integer exponents
-  (s+a)/mu = m hit a Gamma pole and are replaced by the finite factor
+  winding (k2 - k1)/mu turns; exponents (s+a)/mu exactly equal to an
+  integer m <= 0 hit a Gamma pole and are replaced by the finite factor
   2 pi i (k2 - k1) (-1)^m / |m|!.
 
 All values are immutable and all operations pure; the per-order loops
@@ -36,8 +39,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-from scipy.special import gamma as _cgamma
 
 from .saddle import SaddleNormalForm
 from .series import TruncatedSeries, _factorial, bell_hat_table
@@ -63,6 +64,23 @@ ExponentParam = Union[int, Fraction, float, complex]
 
 #: floats this close to a non-positive integer exponent draw a warning
 NEAR_POLE_TOL = 1e-8
+
+_LANCZOS_G = 7
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+            771.32342877765313, -176.61502916214059, 12.507343278686905,
+            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+
+
+def _cgamma(z: complex) -> complex:
+    """Gamma(z): ``math.gamma`` on the real axis, Lanczos elsewhere."""
+    if z.imag == 0:
+        return complex(math.gamma(z.real))
+    if z.real < 0.5:
+        return math.pi / (cmath.sin(math.pi * z) * _cgamma(1 - z))
+    z -= 1
+    x = _LANCZOS[0] + sum(c / (z + i) for i, c in enumerate(_LANCZOS[1:], 1))
+    t = z + _LANCZOS_G + 0.5
+    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
 @dataclass(frozen=True)
@@ -262,11 +280,10 @@ def alpha_direct(nf: SaddleNormalForm, q: TruncatedSeries,
 
 
 def _degenerate_order(e_s) -> Optional[int]:
-    """m when the exact exponent e_s is an integer <= 0, else None."""
-    if isinstance(e_s, Fraction):
-        if e_s.denominator == 1 and e_s <= 0:
-            return int(e_s)
-        return None
+    """m when the exponent e_s is exactly an integer m <= 0, else None."""
+    e_s = complex(e_s)
+    if e_s.imag == 0 and e_s.real <= 0 and e_s.real.is_integer():
+        return int(e_s.real)
     return None
 
 
@@ -292,8 +309,9 @@ def assemble(alphas: AlphaSequence, nf: SaddleNormalForm,
     * Endpoint(k):        Gamma(e_s) alpha_s e^{2 pi i k e_s}
     * Through(k1,k2):     Gamma(e_s) alpha_s (e^{2 pi i k2 e_s} - e^{2 pi i k1 e_s})
     * EvenOpposite(k):    0 for odd s, else 2 Gamma(e_s) alpha_s e^{2 pi i k e_s}
-    * CirclePath(k1,k2):  as Through, except an exact exponent m <= 0
-      (possible only when a was given exactly) contributes
+    * CirclePath(k1,k2):  as Through, except an exponent that is
+      exactly an integer m <= 0 (a Fraction, or a float or complex
+      value with zero imaginary part) contributes
       2 pi i (k2 - k1) (-1)^m / |m|! alpha_s instead.
 
     A Gamma pole outside CirclePath has no replacement rule and is a
@@ -307,7 +325,7 @@ def assemble(alphas: AlphaSequence, nf: SaddleNormalForm,
     for s, alpha in enumerate(alphas.alphas):
         e_s = _exponent(s, a, mu)
         degenerate = _degenerate_order(e_s)
-        if not isinstance(e_s, Fraction):
+        if degenerate is None and not isinstance(e_s, Fraction):
             _warn_near_pole(complex(e_s), s)
         if degenerate is not None and not isinstance(branch, CirclePath):
             raise ValueError(

@@ -36,8 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from scipy.special import gamma as _cgamma
-
 from .expansion import alpha_bell
 from .saddle import SaddleNormalForm, normalize
 from .series import TruncatedSeries, bernoulli
@@ -383,7 +381,7 @@ def wave_coefficients(lam: Rat, t_max: int = 3) -> WaveExpansion:
     for t in range(t_max + 1):
         acc = 0.0 + 0.0j
         for m in range(t + 1):
-            acc += float(_cgamma(m + 0.5)) * alpha_by_j[t - m].alphas[2 * m]
+            acc += math.gamma(m + 0.5) * alpha_by_j[t - m].alphas[2 * m]
         coeffs.append(complex(-4j * acc))
     return WaveExpansion(lam=lam, coeffs=tuple(coeffs), w0=w0, z0_wave=z0)
 

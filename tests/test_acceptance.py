@@ -22,6 +22,7 @@ from saddlepoint.saddle import normalize, theta
 from saddlepoint.series import TruncatedSeries
 from saddlepoint.waves import (p_wave_series, solve_constants,
                                wave_coefficients, wave_main_term)
+from test_expansion import random_instance
 
 
 def _report(number, ok, text):
@@ -137,27 +138,13 @@ def test_criterion_7_wave_main_terms():
                    f"a0 deviation {abs(a0 - closed):.2e}")
 
 
-def _random_instance(rng, mu, order=9):
-    z0 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-    coeffs = ([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
-              + [0.0] * (mu - 1)
-              + [complex(rng.uniform(0.4, 1.5) * rng.choice([-1, 1]),
-                         rng.uniform(-0.5, 0.5))]
-              + [complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-                 for _ in range(order)])
-    p = TruncatedSeries(z0, coeffs)
-    q = TruncatedSeries(z0, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                             for _ in range(mu + order + 1)])
-    return normalize(p), q
-
-
 def test_criterion_8_property_suite():
     rng = random.Random(314159)
     exponents = [1, Fraction(1, 2), -1, 0.3 + 0.7j]
     worst = 0.0
     for trial in range(200):
         mu = rng.randint(1, 4)
-        nf, q = _random_instance(rng, mu)
+        nf, q = random_instance(rng, mu)
         a = exponents[trial % 4]
         s_count = rng.randint(2, 8)
         bell = alpha_bell(nf, q, a, s_count)
@@ -167,17 +154,17 @@ def test_criterion_8_property_suite():
                                zip(bell.alphas, direct.alphas)) / scale)
     routes_ok = worst < 1e-10
 
-    nf2, q2 = _random_instance(rng, 2)
+    nf2, q2 = random_instance(rng, 2)
     even = assemble(alpha_bell(nf2, q2, 1, 8), nf2, EvenOpposite(0))
     even_ok = all(t.coefficient == 0 for t in even.terms if t.s % 2 == 1)
 
-    nf3, q3 = _random_instance(rng, 3)
+    nf3, q3 = random_instance(rng, 3)
     same = assemble(alpha_bell(nf3, q3, 1, 6), nf3, Through(2, 2))
     same_ok = all(t.coefficient == 0 for t in same.terms)
 
     shift_ok = True
     for m in (1, 2, 3):
-        nfm, psim = _random_instance(rng, 2)
+        nfm, psim = random_instance(rng, 2)
         qm = TruncatedSeries(nfm.z0,
                              ((0.0,) * m + psim.coeffs)[: nfm.phi.order + 1])
         rep = vanishing_shift(nfm, qm, 1, m)

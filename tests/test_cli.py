@@ -1,10 +1,15 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import saddlepoint
 from saddlepoint import series
 from saddlepoint.cli import main
 
@@ -123,6 +128,9 @@ class TestExample:
         (["gamma", "--n", "inf"], "finite"),
         (["kepler", "--tol", "-1"], "--tol"),
         (["gamma", "--tol", "nan"], "--tol"),
+        (["center", "--terms", "170"], "overflows"),
+        (["kepler", "--terms", "172"], "overflows"),
+        (["gamma", "--n", "1e-100"], "overflows"),
     ])
     def test_bad_n_or_tol_is_input_error(self, capsys, argv, message):
         code, out, err = run_or_exit(capsys, ["example", *argv])
@@ -185,6 +193,7 @@ class TestExpand:
     @pytest.mark.parametrize("n_values, argv", [
         ("[Infinity]", []),
         ("[50.0]", ["--tol", "0"]),
+        ("[1e-150]", []),
     ])
     def test_bad_n_or_tol_exit_2(self, tmp_path, capsys, n_values, argv):
         path = tmp_path / "gamma.txt"
@@ -233,13 +242,15 @@ order = 4
         _, second, _ = run(capsys, ["expand", str(path)])
         assert first == second
 
-    def test_shipped_center_problem_file(self, capsys):
-        from pathlib import Path
-        path = Path(__file__).resolve().parent.parent / "demos" / "problems" / "center.txt"
-        code, out, _ = run(capsys, ["expand", str(path)])
-        assert code == 0
-        digits = int(out.split("agreement digits: ")[1].split()[0])
-        assert digits >= 10
+    def test_shipped_center_problem_file(self, tmp_path, capsys):
+        shipped = Path(__file__).resolve().parent.parent / "demos" / "problems" / "center.txt"
+        float_a = tmp_path / "center.txt"
+        float_a.write_text(shipped.read_text().replace("\na = 0\n", "\na = 0.0\n"))
+        for path in (shipped, float_a):   # the Gamma pole is found by value
+            code, out, _ = run(capsys, ["expand", str(path)])
+            assert code == 0
+            digits = int(out.split("agreement digits: ")[1].split()[0])
+            assert digits >= 10
 
     def test_json_format(self, tmp_path, capsys):
         path = tmp_path / "gamma.txt"
@@ -342,3 +353,13 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(["example", "laplace"])
         assert exc.value.code == 2
+
+    def test_cli_imports_only_the_standard_library(self):
+        src = str(Path(saddlepoint.__file__).parents[1])
+        code = ("import sys; before = set(sys.modules); import saddlepoint.cli; "
+                "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+                " - set(sys.stdlib_module_names) - {'saddlepoint'}))")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "[]"

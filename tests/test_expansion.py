@@ -7,12 +7,11 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from scipy.special import gamma as cgamma
 
 from saddlepoint.classic import gamma_normal_form
 from saddlepoint.expansion import (CirclePath, Endpoint, EvenOpposite, Through,
-                                   alpha_bell, alpha_direct, assemble,
-                                   bell_sums, vanishing_shift)
+                                   _cgamma, alpha_bell, alpha_direct,
+                                   assemble, bell_sums, vanishing_shift)
 from saddlepoint.saddle import normalize
 from saddlepoint.series import TruncatedSeries
 
@@ -161,7 +160,7 @@ class TestAssemble:
         exp = assemble(alphas, nf, Endpoint(1))
         for s, term in enumerate(exp.terms):
             e_s = (s + 1) / 2
-            want = (cgamma(e_s) * alphas.alphas[s]
+            want = (math.gamma(e_s) * alphas.alphas[s]
                     * cmath.exp(2j * math.pi * 1 * e_s))
             assert abs(term.coefficient - want) < 1e-12 * max(1, abs(want))
             assert abs(term.exponent - e_s) < 1e-15
@@ -210,28 +209,33 @@ class TestAssemble:
     def test_degenerate_outside_circle_path_is_error(self):
         rng = random.Random(41)
         nf, q = random_instance(rng, 2)
-        alphas = alpha_bell(nf, q, -2, 4)   # (s + a)/mu = 0 at s = 2
-        with pytest.raises(ValueError, match="pole"):
-            assemble(alphas, nf, Through(0, 1))
-        with pytest.raises(ValueError, match="pole"):
-            assemble(alphas, nf, Endpoint(0))
+        for a in (-2, -2.0):   # (s + a)/mu = 0 at s = 2
+            alphas = alpha_bell(nf, q, a, 4)
+            with pytest.raises(ValueError, match="pole"):
+                assemble(alphas, nf, Through(0, 1))
+            with pytest.raises(ValueError, match="pole"):
+                assemble(alphas, nf, Endpoint(0))
 
     def test_degenerate_replacement_in_circle_path(self):
         rng = random.Random(42)
         nf, q = random_instance(rng, 2)
-        alphas = alpha_bell(nf, q, Fraction(-2), 5)
-        exp = assemble(alphas, nf, CirclePath(0, 1))
-        # s = 0: e = -1 -> 2 pi i (k2-k1) (-1)^(-1) / 1! = -2 pi i
-        assert abs(exp.terms[0].coefficient - (-2j * math.pi) * alphas.alphas[0]) \
-            < 1e-12 * abs(alphas.alphas[0])
-        # s = 2: e = 0 -> 2 pi i
-        assert abs(exp.terms[2].coefficient - (2j * math.pi) * alphas.alphas[2]) \
-            < 1e-12 * abs(alphas.alphas[2])
-        # s = 1: e = -1/2, regular difference formula applies
-        e_s = -0.5
-        want = (cgamma(e_s) * alphas.alphas[1]
-                * (cmath.exp(2j * math.pi * 1 * e_s) - 1.0))
-        assert abs(exp.terms[1].coefficient - want) < 1e-12 * max(1, abs(want))
+        for a in (Fraction(-2), -2.0):
+            alphas = alpha_bell(nf, q, a, 5)
+            exp = assemble(alphas, nf, CirclePath(0, 1))
+            # s = 0: e = -1 -> 2 pi i (k2-k1) (-1)^(-1) / 1! = -2 pi i
+            assert abs(exp.terms[0].coefficient
+                       - (-2j * math.pi) * alphas.alphas[0]) \
+                < 1e-12 * abs(alphas.alphas[0])
+            # s = 2: e = 0 -> 2 pi i
+            assert abs(exp.terms[2].coefficient
+                       - (2j * math.pi) * alphas.alphas[2]) \
+                < 1e-12 * abs(alphas.alphas[2])
+            # s = 1: e = -1/2, regular difference formula applies
+            e_s = -0.5
+            want = (math.gamma(e_s) * alphas.alphas[1]
+                    * (cmath.exp(2j * math.pi * 1 * e_s) - 1.0))
+            assert abs(exp.terms[1].coefficient - want) \
+                < 1e-12 * max(1, abs(want))
 
     def test_float_a_near_pole_warns(self):
         rng = random.Random(43)
@@ -241,6 +245,46 @@ class TestAssemble:
             warnings.simplefilter("always")
             assemble(alphas, nf, CirclePath(0, 1))
         assert any("pole" in str(w.message) for w in caught)
+
+
+class TestComplexGamma:
+    POINTS = [complex(x, y)
+              for x in (-9.63, -4.3, -1.5, -0.25, 0.3, 0.5, 1.0, 2.7, 7.5,
+                        20.2, 55.5, 89.9)
+              for y in (-3.0, -0.7, 0.4, 1.0, 2.95)]
+
+    @staticmethod
+    def rel(got, want):
+        return abs(got - want) / abs(want)
+
+    def test_real_axis_is_math_gamma(self):
+        for x in (0.5, 1.5, -0.5, 3.25, 40.0, 171.5):
+            assert _cgamma(complex(x)) == math.gamma(x)
+        assert _cgamma(0.5 + 0j) == math.sqrt(math.pi)
+
+    def test_identities(self):
+        for z in self.POINTS:
+            g = _cgamma(z)
+            assert self.rel(_cgamma(z + 1), z * g) < 1e-13
+            assert self.rel(g * _cgamma(1 - z),
+                            math.pi / cmath.sin(math.pi * z)) < 1e-13
+            if z.real < 80:   # Gamma(2z) overflows past 171.6
+                assert self.rel(g * _cgamma(z + 0.5),
+                                2 ** (1 - 2 * z) * math.sqrt(math.pi)
+                                * _cgamma(2 * z)) < 1e-13
+            assert self.rel(_cgamma(z.conjugate()), g.conjugate()) < 1e-15
+        for y in (-5.0, -1.3, 0.2, 0.9, 3.0, 8.0):
+            assert self.rel(abs(_cgamma(0.5 + 1j * y)) ** 2,
+                            math.pi / math.cosh(math.pi * y)) < 1e-13
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        points = self.POINTS + [(s + 0.3 + 0.7j) / mu
+                                for mu in range(1, 5) for s in range(100)]
+        with mpmath.workdps(40):
+            for z in points:
+                want = complex(mpmath.gamma(mpmath.mpc(z.real, z.imag)))
+                assert self.rel(_cgamma(z), want) < 1e-13, z
 
 
 class TestEvaluate:
