@@ -24,7 +24,7 @@ Modules:
 __version__ = "1.0.0"
 
 from .series import (TruncatedSeries, bernoulli, stirling2, binomial,
-                     bell_hat, bell_hat_table, beta_glaisher)
+                     bell_hat, bell_hat_table)
 from .saddle import (SaddleNormalForm, DirectionClass, RootResult,
                      MaxConditionReport, normalize, theta, sector_index,
                      classify_direction, find_saddle, check_max_condition)
@@ -44,7 +44,7 @@ from .waves import (WaveConstants, WaveExpansion, dilog, solve_constants,
 __all__ = [
     "__version__",
     "TruncatedSeries", "bernoulli", "stirling2", "binomial", "bell_hat",
-    "bell_hat_table", "beta_glaisher",
+    "bell_hat_table",
     "SaddleNormalForm", "DirectionClass", "RootResult", "MaxConditionReport",
     "normalize", "theta", "sector_index", "classify_direction", "find_saddle",
     "check_max_condition",

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .expansion import alpha_bell, bell_sums
 from .quadrature import Arc, Contour, Segment
 from .saddle import SaddleNormalForm
-from .series import TruncatedSeries, bernoulli, beta_glaisher
+from .series import TruncatedSeries, bernoulli
 
 __all__ = [
     "agreement_digits",
@@ -169,22 +169,18 @@ def center_saddle(eps: float) -> complex:
 
 
 def center_q_coeffs(eps: float, s_max: int) -> list:
-    """Taylor coefficients at i log gamma of q(z) = (z - z0)/(1 - eps cos z):
+    """Taylor coefficients q_0..q_{s_max} at z0 = i log gamma of
+    q(z) = (z - z0)/(1 - eps cos z).
 
-    q_s = (-2 gamma i^{s+1} / eps) sum_n (-1)^n beta_{n+1}(gamma^2)
-          B_{s-n} / ((n+1)! (s-n)!).
+    cos z0 = 1/eps and sin z0 = i sqrt(1 - eps^2)/eps, so with h = z - z0
+    the denominator is 1 - cos h + i sqrt(1 - eps^2) sin h, and q is the
+    series reciprocal of that denominator divided by h.
     """
-    gam = center_gamma(eps)
-    xi = gam * gam
-    betas = [beta_glaisher(xi, n + 1) for n in range(s_max + 1)]
-    out = []
-    for s in range(s_max + 1):
-        acc = 0.0 + 0.0j
-        for k in range(s + 1):
-            acc += ((-1) ** k * betas[k] * float(bernoulli(s - k))
-                    / (math.factorial(k + 1) * math.factorial(s - k)))
-        out.append((-2.0 * gam * (1j) ** (s + 1) / eps) * acc)
-    return out
+    z0 = center_saddle(eps)     # validates the eccentricity range
+    w = math.sqrt(1.0 - eps * eps)
+    den_over_h = [(-1) ** (k // 2) * (1j * w if k % 2 else -1.0)
+                  / math.factorial(k) for k in range(1, s_max + 2)]
+    return list(TruncatedSeries(z0, den_over_h).recip().coeffs)
 
 
 def center_normal_form(eps: float, order: int) -> SaddleNormalForm:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from . import selftest, waves
+from . import waves
 from .problemfile import (EXAMPLES, example_problem, parse_problem_file,
                           run_problem)
 from .quadrature import DEFAULT_REL_TOL
@@ -258,6 +258,7 @@ def _cmd_example_sylvester(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest      # only this command needs it: keeps start-up short
     out = sys.stdout
     results = selftest.run_all()
     failed = [r for r in results if not r.ok]

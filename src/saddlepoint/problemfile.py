@@ -13,8 +13,8 @@ comments and blank lines ignored.  Keys, one line each, no repeats:
              its own expansion point)
     p        Taylor coefficients of the phase at z0 as [[re, im], ...]
              (index = power of z - z0), or {"builtin": name, "order":
-             M, "eps": ...} with name in gamma | kepler | center |
-             parabolic
+             M} with name in gamma | kepler | center | parabolic;
+             center also takes "eps", and no other key is accepted
     q        amplitude, same two forms; builtin names: one | center |
              parabolic
     a        exponent parameter of the (z - z0)^(a-1) factor: an
@@ -112,6 +112,21 @@ def _eccentricity(eps, what: str, line: Optional[int]) -> float:
         raise ProblemFileError(
             f"{what}: \"eps\" must be an eccentricity in (0, 1), not {eps!r}", line)
     return eps
+
+
+def _builtin_name(spec: dict, what: str, line: int) -> str:
+    """The builtin's name; the spec may hold only builtin, order and,
+    for center, eps."""
+    name = spec.get("builtin")
+    if not isinstance(name, str):
+        raise ProblemFileError(f"{what} needs a \"builtin\" name", line)
+    accepted = ("builtin", "order", "eps") if name == "center" else ("builtin", "order")
+    for key in spec:
+        if key not in accepted:
+            raise ProblemFileError(
+                f"{what} {name!r}: unknown key {key!r}; accepted: "
+                f"{', '.join(accepted)}", line)
+    return name
 
 
 def _builtin_order(spec: dict, order: int, what: str, line: int) -> int:
@@ -364,9 +379,7 @@ def parse_problem_text(text: str) -> Problem:
     p_raw, pline = entries.require("p")
     eps_for_builtin = None
     if isinstance(p_raw, dict):
-        name = p_raw.get("builtin")
-        if not isinstance(name, str):
-            raise ProblemFileError("builtin phase needs a \"builtin\" name", pline)
+        name = _builtin_name(p_raw, "builtin phase", pline)
         eps_for_builtin = p_raw.get("eps")
         nf, p_callable = _phase_builtin(
             name, _builtin_order(p_raw, order, "builtin phase", pline),
@@ -391,9 +404,7 @@ def parse_problem_text(text: str) -> Problem:
         q = TruncatedSeries.constant(1.0, nf.z0, order + 2)
         q_callable = lambda z: 1.0 + 0.0j  # noqa: E731
     elif isinstance(q_raw, dict):
-        name = q_raw.get("builtin")
-        if not isinstance(name, str):
-            raise ProblemFileError("builtin amplitude needs a \"builtin\" name", qline)
+        name = _builtin_name(q_raw, "builtin amplitude", qline)
         q, q_callable = _amplitude_builtin(
             name, _builtin_order(q_raw, order, "builtin amplitude", qline),
             q_raw.get("eps", eps_for_builtin), nf.z0, qline)

@@ -29,7 +29,6 @@ __all__ = [
     "binomial",
     "bell_hat",
     "bell_hat_table",
-    "beta_glaisher",
 ]
 
 
@@ -147,28 +146,6 @@ def bell_hat_table(i_max: int, p: Sequence[Scalar]) -> list:
         for i in range(j, i_max + 1):
             table[i][j] = power[i]
     return table
-
-
-def beta_glaisher(xi: complex, m: int):
-    """Coefficient beta_m(xi) of the expansion 1/(xi e^z - 1).
-
-    beta_m(xi) = (-1)^(m-1) m sum_j S(m, j) (j-1)! / (xi - 1)^j, where
-    S(m, j) is the Stirling set number.  The expansion reads
-    1/(xi e^z - 1) = sum_m beta_{m+1}(xi) z^m / (m+1)!.  Exact when xi
-    is rational.
-    """
-    if m < 1:
-        raise ValueError("beta index must be >= 1")
-    if xi == 1:
-        raise ValueError("beta_m(xi) is undefined at xi = 1")
-    exact = isinstance(xi, (int, Fraction))
-    acc = Fraction(0) if exact else 0.0 + 0.0j
-    inv = (Fraction(1) if exact else (1.0 + 0.0j)) / (xi - 1)
-    power = inv
-    for j in range(1, m + 1):
-        acc += stirling2(m, j) * _factorial(j - 1) * power
-        power = power * inv
-    return (-1) ** (m - 1) * m * acc
 
 
 # ----------------------------------------------------------------------

@@ -183,27 +183,19 @@ def _phase_normal_form(order: int) -> SaddleNormalForm:
     return normalize(p_wave_series(order))
 
 
+def _exp_series(c: complex, order: int) -> TruncatedSeries:
+    """Taylor series of e^{c z} about z0: coefficients e^{c z0} c^k / k!."""
+    _, z0, _ = _root_w0()
+    coeffs = [cmath.exp(c * z0)]
+    for k in range(1, order + 1):
+        coeffs.append(coeffs[-1] * c / k)
+    return TruncatedSeries(z0, coeffs)
+
+
 @lru_cache(maxsize=None)
 def _cot_series(order: int) -> TruncatedSeries:
-    """Series of cot(pi z) about z0, by dividing the sine into the cosine."""
-    _, z0, _ = _root_w0()
-    s0 = cmath.sin(math.pi * z0)
-    c0 = cmath.cos(math.pi * z0)
-    sin_c = []
-    cos_c = []
-    for k in range(order + 1):
-        scale = math.pi ** k / math.factorial(k)
-        if k % 4 == 0:
-            sk, ck = s0, c0
-        elif k % 4 == 1:
-            sk, ck = c0, -s0
-        elif k % 4 == 2:
-            sk, ck = -s0, -c0
-        else:
-            sk, ck = -c0, s0
-        sin_c.append(scale * sk)
-        cos_c.append(scale * ck)
-    return TruncatedSeries(z0, cos_c) * TruncatedSeries(z0, sin_c).recip()
+    """Series of cot(pi z) = i + 2i / (e^{2 pi i z} - 1) about z0."""
+    return (_exp_series(2j * math.pi, order) - 1.0).recip() * 2j + 1j
 
 
 def _cot_derivative_series(m: int, order: int) -> TruncatedSeries:
@@ -234,29 +226,16 @@ def _g_series(ell: int, order: int) -> TruncatedSeries:
     return cot_part * poly * scale
 
 
-def _odd_weight_partitions(j: int):
-    """Multiplicity tuples (m_1, m_2, ...) with sum_l (2l-1) m_l = j."""
-    max_ell = (j + 1) // 2 if j > 0 else 0
-
-    def rec(remaining: int, ell: int):
-        if ell > max_ell:
-            if remaining == 0:
-                yield ()
-            return
-        weight = 2 * ell - 1
-        for m in range(remaining // weight + 1):
-            for rest in rec(remaining - weight * m, ell + 1):
-                yield (m,) + rest
-
-    yield from rec(j, 1)
-
-
 @lru_cache(maxsize=None)
 def u_series(j: int, order: int = 12) -> TruncatedSeries:
     """Series of u_j about z0; u_0 = 1.
 
-    Assembled by the multi-index sum over products of g_l series with
-    weights m_1 + 3 m_2 + 5 m_3 + ... = j.
+    u_j is the coefficient of x^j in U = exp(sum_l g_l x^{2l-1}), so
+    U' = G' U gives the recurrence
+
+        u_j = (1/j) sum_{2l-1 <= j} (2l-1) g_l u_{j-2l+1},
+
+    each term a product of cached series.
     """
     if j < 0:
         raise ValueError("u index must be >= 0")
@@ -266,17 +245,10 @@ def u_series(j: int, order: int = 12) -> TruncatedSeries:
     if j == 0:
         return TruncatedSeries.constant(1.0, z0, order)
     total = TruncatedSeries.constant(0.0, z0, order)
-    for mults in _odd_weight_partitions(j):
-        term = TruncatedSeries.constant(1.0, z0, order)
-        for ell, m in enumerate(mults, start=1):
-            if m == 0:
-                continue
-            g = _g_series(ell, order)
-            for _ in range(m):
-                term = term * g
-            term = term * (1.0 / math.factorial(m))
-        total = total + term
-    return total
+    for ell in range(1, (j + 1) // 2 + 1):
+        weight = 2 * ell - 1
+        total = total + _g_series(ell, order) * u_series(j - weight, order) * weight
+    return total * (1.0 / j)
 
 
 @lru_cache(maxsize=None)
@@ -285,36 +257,20 @@ def f_lambda_series(lam: Rat, order: int = 12) -> TruncatedSeries:
 
         f_lambda(z0) = -e^{pi i/4} z0^{1/2} w0^{-1/2} e^{-2 pi i lambda z0}.
 
-    The square root of z / (2 sin(pi (z - 1))) is expanded with a
-    principal fractional power of the normalized series; the overall
-    sign is then fixed against the closed form above (numerically the
-    principal root already lands on it).
+    Since 2 sin(pi (z - 1)) = i e^{-pi i z} (e^{2 pi i z} - 1), f_lambda
+    is a square root of -i z / (e^{2 pi i z} - 1) times e^{-2 pi i lambda z}.
+    The root is the principal fractional power of that series scaled to
+    constant term 1; the overall sign is then fixed against the closed
+    form above (numerically the principal root already lands on it).
     """
     w0, z0, _ = _root_w0()
     lam_c = float(Fraction(lam)) if isinstance(lam, (int, Fraction)) else float(lam)
-    s0 = cmath.sin(math.pi * (z0 - 1.0))
-    c0 = cmath.cos(math.pi * (z0 - 1.0))
-    sin_c = []
-    for k in range(order + 1):
-        scale = math.pi ** k / math.factorial(k)
-        if k % 4 == 0:
-            sk = s0
-        elif k % 4 == 1:
-            sk = c0
-        elif k % 4 == 2:
-            sk = -s0
-        else:
-            sk = -c0
-        sin_c.append(2.0 * scale * sk)
-    ratio = TruncatedSeries.identity(z0, order) * TruncatedSeries(z0, sin_c).recip()
+    ratio = (TruncatedSeries.identity(z0, order)
+             * (_exp_series(2j * math.pi, order) - 1.0).recip() * -1j)
     c_head = ratio.coeffs[0]
-    root = (ratio * (1.0 / c_head)).cpow(0.5) * cmath.sqrt(c_head)
-
-    mu_exp = -1j * math.pi * (2.0 * lam_c + 0.5)
-    exp_c = [cmath.exp(mu_exp * z0)]
-    for k in range(1, order + 1):
-        exp_c.append(exp_c[0] * mu_exp ** k / math.factorial(k))
-    f = root * TruncatedSeries(z0, exp_c)
+    unit = TruncatedSeries(z0, (1.0,) + tuple(c / c_head for c in ratio.coeffs[1:]))
+    f = (unit.cpow(0.5) * cmath.sqrt(c_head)
+         * _exp_series(-2j * math.pi * lam_c, order))
 
     target = (-cmath.exp(0.25j * math.pi) * cmath.sqrt(z0) / cmath.sqrt(w0)
               * cmath.exp(-2j * math.pi * lam_c * z0))

@@ -129,21 +129,24 @@ class TestKepler:
 
 class TestCenter:
     def test_q_formula_against_series_oracle(self):
-        # q = (z - z0)/(1 - eps cos z): the denominator expands at z0
-        # as 1 - cos h + i sqrt(1-eps^2) sin h, so dividing h out and
-        # inverting the series rebuilds q independently
-        eps = 0.4
-        w = math.sqrt(1 - eps * eps)
-        z0 = center_saddle(eps)
-        order = 14
-        den = [0.0 + 0.0j] * (order + 2)
-        for k in range(2, order + 2, 2):
-            den[k] = -((-1) ** (k // 2)) / math.factorial(k)
-        for k in range(1, order + 2, 2):
-            den[k] += 1j * w * ((-1) ** ((k - 1) // 2)) / math.factorial(k)
-        oracle = TruncatedSeries(z0, den[1:]).recip()
-        got = center_q_coeffs(eps, order)
-        assert max(abs(a - b) for a, b in zip(got, oracle.coeffs)) < 1e-13
+        # q = (z - z0)/(1 - eps cos z) by Cauchy's integral on |h| = log
+        # gamma, half the distance to the next pole -i log gamma: the
+        # 256-node trapezoid sum aliases at 2^-256, far below 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        nodes_count, s_max = 256, 40
+        with mpmath.workdps(50):
+            for eps in (0.1, 0.4, 0.7, 0.97):
+                e = mpmath.mpf(eps)
+                r = mpmath.log((1 + mpmath.sqrt(1 - e * e)) / e)
+                nodes = [mpmath.expjpi(mpmath.mpf(2 * m) / nodes_count)
+                         for m in range(nodes_count)]
+                terms = [r * u / (1 - e * mpmath.cos(1j * r + r * u))
+                         for u in nodes]
+                got = center_q_coeffs(eps, s_max)
+                for s in range(s_max + 1):
+                    want = mpmath.fsum(terms) / (nodes_count * r ** s)
+                    assert abs(got[s] - want) < 5e-13 * abs(want), (eps, s)
+                    terms = [t * mpmath.conj(u) for t, u in zip(terms, nodes)]
 
     def test_phase_ratios_against_taylor_oracle(self):
         # i(z - eps sin z) - p(z0) at z0 has the closed Taylor series

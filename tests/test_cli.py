@@ -179,6 +179,7 @@ class TestExpand:
         ('"gamma", "order": 12', '"center", "eps": 1.5'),
         ('"gamma", "order": 12', '"center", "eps": "x"'),
         ('"order": 12', '"order": 7.5'),
+        ('"order": 12', '"ordr": 12'),
     ])
     def test_bad_builtin_parameter_exit_2(self, tmp_path, capsys, old, new):
         path = tmp_path / "bad.txt"
@@ -358,8 +359,10 @@ class TestFlags:
         src = str(Path(saddlepoint.__file__).parents[1])
         code = ("import sys; before = set(sys.modules); import saddlepoint.cli; "
                 "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
-                " - set(sys.stdlib_module_names) - {'saddlepoint'}))")
+                " - set(sys.stdlib_module_names) - {'saddlepoint'})); "
+                "print('saddlepoint.selftest' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", code], check=True,
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
-        assert done.stdout.strip() == "[]"
+        # selftest is imported by its own command only
+        assert done.stdout.split() == ["[]", "False"]

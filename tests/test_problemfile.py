@@ -194,6 +194,19 @@ order = 2
         with pytest.raises(ProblemFileError, match=f"line {line}: .*order"):
             parse_problem_text(text)
 
+    @pytest.mark.parametrize("line, key, text", [
+        (2, "ordr", GAMMA_TEXT.replace('"order": 12', '"ordr": 12, "eps": 0.3')),
+        (2, "eps", GAMMA_TEXT.replace('"order": 12', '"order": 12, "eps": 0.3')),
+        (3, "colour", GAMMA_TEXT.replace('{"builtin": "one"}',
+                                         '{"builtin": "one", "colour": 1}')),
+        (1, "epsilon", 'p = {"builtin": "center", "eps": 0.4, "epsilon": 0.4}\n'
+                       + CENTER_TAIL),
+    ], ids=["phase-typo", "phase-eps", "amplitude-extra", "center-extra"])
+    def test_unknown_builtin_key(self, line, key, text):
+        with pytest.raises(ProblemFileError,
+                           match=f"line {line}: .*unknown key '{key}'"):
+            parse_problem_text(text)
+
 
 class TestExamples:
     def test_registry_builds_every_example(self):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from saddlepoint.series import (TruncatedSeries, bell_hat, bell_hat_table,
-                                bernoulli, beta_glaisher, binomial, stirling2)
+                                bernoulli, binomial, stirling2)
 
 
 def random_series(rng, base=0.0, order=8, constant=None):
@@ -314,37 +314,6 @@ class TestBellHat:
     def test_insufficient_arguments(self):
         with pytest.raises(ValueError, match="argument"):
             bell_hat(5, 2, [1, 2])
-
-
-class TestBetaGlaisher:
-    def test_m1_closed_form(self):
-        xi = 2.3 - 0.7j
-        assert abs(beta_glaisher(xi, 1) - 1 / (xi - 1)) < 1e-15
-
-    def test_generating_function_oracle(self):
-        # 1/(xi e^z - 1) = sum beta_{m+1}(xi) z^m / (m+1)! at xi = gamma^2
-        import cmath
-        eps = 0.4
-        gam = (1 + math.sqrt(1 - eps * eps)) / eps
-        xi = gam * gam
-        z = 1e-3
-        acc = sum(complex(beta_glaisher(xi, m + 1)) * z ** m / math.factorial(m + 1)
-                  for m in range(12))
-        target = 1 / (xi * cmath.exp(z) - 1)
-        assert abs(acc - target) < 1e-12
-
-    def test_large_xi_limit(self):
-        xi = 1e8
-        assert abs(beta_glaisher(xi, 1) * (xi - 1) - 1) < 1e-12
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            beta_glaisher(1, 3)
-
-    def test_exact_for_rational(self):
-        got = beta_glaisher(Fraction(3), 2)
-        # -2 [S(2,1) 0!/(xi-1) + S(2,2) 1!/(xi-1)^2] at xi = 3
-        assert got == -2 * (Fraction(1, 2) + Fraction(1, 4))
 
 
 class TestStructure:
