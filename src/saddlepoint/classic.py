@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .expansion import alpha_bell, bell_sums
 from .quadrature import Arc, Contour, Segment
 from .saddle import SaddleNormalForm
-from .series import TruncatedSeries, bernoulli
+from .series import TruncatedSeries
 
 __all__ = [
     "agreement_digits",
@@ -118,13 +118,8 @@ def gamma_contour() -> Contour:
 
 def _sine_bell_args(i_max: int) -> list:
     """Ratios p_i/p0 = 6 (-1)^{i/2}/(i+3)! of i(z - sin z) at 0 (0 for odd i)."""
-    out = []
-    for i in range(1, i_max + 1):
-        if i % 2 == 0:
-            out.append(Fraction(6 * (-1) ** (i // 2), math.factorial(i + 3)))
-        else:
-            out.append(Fraction(0))
-    return out
+    return [Fraction(6 * (-1) ** (i // 2), math.factorial(i + 3)) if i % 2 == 0
+            else Fraction(0) for i in range(1, i_max + 1)]
 
 
 def kepler_d_table(s_max: int) -> list:
@@ -270,22 +265,14 @@ def center_fs_polynomial(s: int, sample_eps: Optional[Sequence[float]] = None):
 # ----------------------------------------------------------------------
 
 def parabolic_q_table(s_max: int) -> list:
-    """Exact Taylor coefficients of z^2/(1 - cos z):
+    """Exact Taylor coefficients q_0..q_{s_max} of z^2/(1 - cos z).
 
-    q_s = 2 (-1)^{s/2} sum_n (-1)^n B_n B_{s-n} / (n! (s-n)!) for even
-    s and 0 for odd s.
+    The exact series reciprocal of (1 - cos z)/z^2 =
+    sum_k (-1)^k z^{2k}/(2k+2)!; q_s = 0 for odd s.
     """
-    out = []
-    for s in range(s_max + 1):
-        if s % 2 == 1:
-            out.append(Fraction(0))
-            continue
-        acc = Fraction(0)
-        for k in range(s + 1):
-            acc += ((-1) ** k * bernoulli(k) * bernoulli(s - k)
-                    / (math.factorial(k) * math.factorial(s - k)))
-        out.append(2 * (-1) ** (s // 2) * acc)
-    return out
+    den = [Fraction((-1) ** (s // 2), math.factorial(s + 2)) if s % 2 == 0 else 0
+           for s in range(s_max + 1)]
+    return list(TruncatedSeries(0.0, den).recip().coeffs)
 
 
 def parabolic_d_table(s_max: int) -> list:

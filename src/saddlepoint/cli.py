@@ -216,7 +216,11 @@ def _cmd_example_sylvester(args) -> int:
         if not args.n.is_integer():
             raise ValueError(f"N must be an integer for wave evaluation, not {args.n}")
         n = int(args.n)
-        expansion = waves.wave_coefficients(lam, t_max=terms - 1)
+        try:
+            expansion = waves.wave_coefficients(lam, t_max=terms - 1)
+        except OverflowError:
+            raise ValueError(f"the wave coefficients overflow double precision "
+                             f"at lambda = {args.lam}") from None
         try:
             values = [(t, expansion.main_term(n, t)) for t in range(1, terms + 1)]
         except OverflowError:

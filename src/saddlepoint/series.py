@@ -1,13 +1,10 @@
-"""Truncated complex power series and the exact combinatorial kernels.
+"""Truncated power series and the exact combinatorial kernels.
 
-Two coefficient domains are deliberately kept apart:
-
-* exact ``fractions.Fraction`` arithmetic for the combinatorial kernels
-  (Bernoulli numbers, Stirling set numbers, partial ordinary Bell
-  polynomials of a plain argument sequence, generalized binomials), so
-  that rational coefficient tables come out exact;
-* double-precision ``complex`` for general analytic series, wrapped in
-  :class:`TruncatedSeries`.
+The combinatorial kernels (Bernoulli numbers, Stirling set numbers,
+partial ordinary Bell polynomials, generalized binomials) and the
+series-to-series operations of :class:`TruncatedSeries` are exact on
+``int`` and ``Fraction`` data, so rational tables come out exact; any
+other data is double-precision ``complex``.
 
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to use concurrently.
@@ -163,6 +160,13 @@ class TruncatedSeries:
     order + 1 entries and arithmetic never reads beyond it.  A binary
     operation between series at different base points is an error, and
     the result of a binary operation is truncated to the smaller order.
+
+    The coefficients are all ``Fraction`` when every given one is an
+    ``int`` or ``Fraction``, and all ``complex`` otherwise.  +, -, *, /,
+    ``recip``, ``differentiate``, ``integral``, ``truncate`` and
+    ``shift_down`` keep exact series exact; a scalar operand,
+    ``constant``, ``identity``, ``cpow`` and evaluation work in floating
+    point.
     """
 
     base: complex
@@ -171,8 +175,12 @@ class TruncatedSeries:
     def __init__(self, base: complex, coeffs: Sequence[Scalar]):
         if len(coeffs) == 0:
             raise ValueError("a truncated series needs at least one coefficient")
+        if all(isinstance(c, (int, Fraction)) for c in coeffs):
+            coeffs = tuple(Fraction(c) for c in coeffs)
+        else:
+            coeffs = tuple(complex(c) for c in coeffs)
         object.__setattr__(self, "base", complex(base))
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- basic structure ------------------------------------------------
 
@@ -189,10 +197,7 @@ class TruncatedSeries:
         """The series of z itself about ``base``: base + (z - base)."""
         if order < 1:
             raise ValueError("identity series needs order >= 1")
-        coeffs = [0.0 + 0.0j] * (order + 1)
-        coeffs[0] = complex(base)
-        coeffs[1] = 1.0 + 0.0j
-        return TruncatedSeries(base, coeffs)
+        return TruncatedSeries(base, [complex(base), 1.0] + [0.0] * (order - 1))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -241,7 +246,7 @@ class TruncatedSeries:
             return TruncatedSeries(self.base, [c * w for c in self.coeffs])
         self._check_base(other)
         n = min(self.order, other.order)
-        out = [0.0 + 0.0j] * (n + 1)
+        out = [0] * (n + 1)
         for a in range(n + 1):
             ca = self.coeffs[a]
             if ca == 0:
@@ -271,10 +276,18 @@ class TruncatedSeries:
 
     def differentiate(self) -> "TruncatedSeries":
         if self.order == 0:
-            return TruncatedSeries(self.base, (0.0 + 0.0j,))
+            zero = Fraction(0) if isinstance(self.coeffs[0], Fraction) else 0j
+            return TruncatedSeries(self.base, (zero,))
         return TruncatedSeries(
             self.base,
             [(s + 1) * self.coeffs[s + 1] for s in range(self.order)])
+
+    def integral(self, constant: Scalar) -> "TruncatedSeries":
+        """Termwise antiderivative, one order higher, equal to
+        ``constant`` at the base: the inverse of :meth:`differentiate`."""
+        return TruncatedSeries(
+            self.base,
+            [constant] + [c / (s + 1) for s, c in enumerate(self.coeffs)])
 
     # -- analytic operations ----------------------------------------------
 
@@ -283,31 +296,13 @@ class TruncatedSeries:
         f0 = self.coeffs[0]
         if f0 == 0:
             raise ValueError("cannot invert a series with zero constant term")
-        out = [0.0 + 0.0j] * (self.order + 1)
-        out[0] = 1.0 / f0
+        out = [1 / f0]
         for k in range(1, self.order + 1):
-            acc = 0.0 + 0.0j
+            acc = 0
             for i in range(1, k + 1):
                 acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / f0
+            out.append(-acc / f0)
         return TruncatedSeries(self.base, out)
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Taylor coefficients of self(inner(z)) to the shared order.
-
-        ``inner`` must have an exactly zero constant term: the outer
-        series only knows the local expansion about its base point, so
-        a constant offset would require information it does not carry.
-        The result lives at ``inner``'s base point.
-        """
-        if inner.coeffs[0] != 0:
-            raise ValueError("inner series must have zero constant term")
-        n = min(self.order, inner.order)
-        acc = TruncatedSeries.constant(self.coeffs[self.order], inner.base, n)
-        inner_t = TruncatedSeries(inner.base, inner.coeffs[: n + 1])
-        for s in range(self.order - 1, -1, -1):
-            acc = acc * inner_t + self.coeffs[s]
-        return acc
 
     def cpow(self, tau: Scalar) -> "TruncatedSeries":
         """Principal complex power self**tau for constant term exactly 1.
@@ -329,6 +324,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.base, w)
 
     def __repr__(self) -> str:
-        head = ", ".join(f"{c:.6g}" for c in self.coeffs[:5])
+        head = ", ".join(f"{complex(c):.6g}" for c in self.coeffs[:5])
         tail = ", ..." if self.order >= 5 else ""
         return f"TruncatedSeries(base={self.base:.6g}, order={self.order}, [{head}{tail}])"

@@ -136,46 +136,23 @@ def solve_constants() -> WaveConstants:
 
 
 @lru_cache(maxsize=None)
-def _dilog_taylor_at_1mw0(order: int) -> TruncatedSeries:
-    """Taylor series of Li2 about x* = 1 - w0.
-
-    Built from the closed derivative Li2'(x) = -log(1-x)/x expanded
-    about x* and integrated termwise; no numerical differentiation.
-    """
-    w0, _, _ = _root_w0()
-    xstar = 1.0 - w0
-    n = max(order - 1, 0)
-    # log(1 - xstar - u) = log(w0) + log(1 - u/w0)
-    lg = [cmath.log(w0)] + [-((1.0 / w0) ** k) / k for k in range(1, n + 1)]
-    inv = [((-1.0 / xstar) ** k) / xstar for k in range(0, n + 1)]
-    deriv = TruncatedSeries(0.0, lg) * TruncatedSeries(0.0, inv) * (-1.0)
-    coeffs = [dilog(xstar)]
-    for k in range(n + 1):
-        coeffs.append(deriv.coeffs[k] / (k + 1))
-    return TruncatedSeries(0.0, coeffs[: order + 1])
-
-
-@lru_cache(maxsize=None)
 def p_wave_series(order: int) -> TruncatedSeries:
     """Taylor series at z0 of p(z) = (Li2(e^{2 pi i z}) - Li2(1)) / (2 pi i z).
 
-    e^{2 pi i z} = (1 - w0) e^{2 pi i (z - z0)}, so the dilogarithm
-    Taylor data at 1 - w0 is composed with the entire inner series
-    (1 - w0)(e^{2 pi i h} - 1) and divided by the linear factor.  The
+    With g = e^{2 pi i z}, g(z0) = 1 - w0, the series of log(1 - g) and
+    Li2(g) are the termwise integrals from z0 of -2 pi i g / (1 - g)
+    and -2 pi i log(1 - g), starting at log(w0) and Li2(1 - w0).  The
     constant term is -log(w0), hence e^{p(z0)} = 1/w0, and the linear
     term vanishes: z0 is a saddle point.
     """
     if order > 24:
         raise ValueError("wave phase series supported up to order 24")
     w0, z0, _ = _root_w0()
-    xstar = 1.0 - w0
-    inner = [0.0 + 0.0j]
-    for k in range(1, order + 1):
-        inner.append(xstar * (2j * math.pi) ** k / math.factorial(k))
-    li2_series = _dilog_taylor_at_1mw0(order).compose(TruncatedSeries(z0, inner))
-    shifted = li2_series - _PI2_OVER_6
-    denom = TruncatedSeries.identity(z0, order) * (2j * math.pi)
-    return shifted * denom.recip()
+    c = 2j * math.pi
+    g = _exp_series(c, order)
+    log_1mg = (g * (1.0 - g).recip() * -c).integral(cmath.log(w0))
+    li2 = (log_1mg * -c).integral(dilog(1.0 - w0)).truncate(order)
+    return (li2 - _PI2_OVER_6) * (TruncatedSeries.identity(z0, order) * c).recip()
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from saddlepoint.classic import (agreement_digits,
                                  gamma_stirling, kepler_d_table,
                                  parabolic_d_table, parabolic_q_table)
 from saddlepoint.problemfile import example_problem, run_problem
-from saddlepoint.series import TruncatedSeries
+from saddlepoint.series import bernoulli
 
 # reference values for the worked integrals at N = 50 (12-digit
 # evaluations of the integrals themselves)
@@ -57,17 +57,19 @@ class TestExactTables:
         assert all(d[s] == 0 for s in (1, 3, 5, 7))
 
     def test_parabolic_q_against_series_recip_oracle(self):
-        # z^2/(1 - cos z) built independently by inverting the series
-        # of (1 - cos z)/z^2
-        order = 12
-        inv = [0.0] * (order + 1)
-        for k in range(0, order + 1, 2):
-            inv[k] = (-1) ** (k // 2) / math.factorial(k + 2)
-        oracle = TruncatedSeries(0.0, inv).recip()
+        # z^2/(1 - cos z) = (z/2)^2 / sin^2(z/2) as a product of two
+        # Bernoulli generating functions:
+        # q_s = 2 (-1)^{s/2} sum_n (-1)^n B_n B_{s-n} / (n! (s-n)!)
+        order = 40
         table = parabolic_q_table(order)
         for s in range(order + 1):
-            assert abs(float(table[s]) - oracle.coeffs[s].real) < 1e-13
-            assert abs(oracle.coeffs[s].imag) < 1e-15
+            want = Fraction(0)
+            if s % 2 == 0:
+                for n in range(s + 1):
+                    want += ((-1) ** n * bernoulli(n) * bernoulli(s - n)
+                             / (math.factorial(n) * math.factorial(s - n)))
+                want *= 2 * (-1) ** (s // 2)
+            assert table[s] == want and type(table[s]) is Fraction, s
 
 
 class TestGammaReport:

@@ -117,6 +117,9 @@ class TestExample:
         (["--n", "20000"], "overflows"),
         (["--n", "inf"], "integer"),
         (["--lambda", "1/0"], "zero denominator"),
+        (["--lambda", "450", "--n", "10"], "overflow"),
+        (["--lambda", "1e300", "--n", "1"], "overflow"),
+        (["--lambda", "1e400"], "overflow"),
     ])
     def test_sylvester_crash_is_input_error(self, capsys, argv, message):
         code, out, err = run(capsys, ["example", "sylvester", *argv])

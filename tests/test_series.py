@@ -76,27 +76,6 @@ class TestArithmetic:
         assert (f * g).order == 1
 
 
-class TestCompose:
-    def test_exp_of_identity(self):
-        exp = TruncatedSeries(0.0, [1 / math.factorial(k) for k in range(7)])
-        ident = TruncatedSeries(0.0, [0, 1] + [0] * 5)
-        assert max_coeff_diff(exp.compose(ident), exp) < 1e-15
-
-    def test_geometric_substitution_by_hand(self):
-        # sum z^k composed with 2z gives sum (2z)^k = 1+2z+4z^2+8z^3+16z^4
-        outer = TruncatedSeries(0.0, [1] * 5)
-        inner = TruncatedSeries(0.0, [0, 2, 0, 0, 0])
-        got = outer.compose(inner)
-        assert [round(c.real) for c in got.coeffs] == [1, 2, 4, 8, 16]
-        assert max(abs(c.imag) for c in got.coeffs) == 0
-
-    def test_nonzero_constant_term_rejected(self):
-        outer = TruncatedSeries(0.0, [1, 1])
-        inner = TruncatedSeries(0.0, [0.5, 1])
-        with pytest.raises(ValueError, match="constant"):
-            outer.compose(inner)
-
-
 class TestRecip:
     def test_geometric(self):
         got = TruncatedSeries(0.0, [1, -1, 0, 0]).recip()
@@ -335,3 +314,66 @@ class TestStructure:
     def test_differentiate(self):
         f = TruncatedSeries(0.0, [5, 1, 2, 3])
         assert f.differentiate().coeffs == (1 + 0j, 4 + 0j, 9 + 0j)
+
+    def test_integral_inverts_differentiate(self):
+        rng = random.Random(107)
+        f = random_series(rng, base=0.3 - 0.2j, order=7)
+        back = f.integral(0.5 + 2j).differentiate()
+        assert back.order == f.order and back.base == f.base
+        assert max_coeff_diff(back, f) < 1e-15
+        g = TruncatedSeries(0.0, [Fraction(3, 7), -2, Fraction(5, 11)])
+        assert g.integral(Fraction(1, 3)).differentiate().coeffs == g.coeffs
+
+    def test_integral_by_hand(self):
+        # the antiderivative of 1/(1 - z) with value 0 at 0 is -log(1 - z)
+        got = TruncatedSeries(0.0, [1] * 5).integral(0)
+        assert got.coeffs == (0, 1, Fraction(1, 2), Fraction(1, 3),
+                              Fraction(1, 4), Fraction(1, 5))
+
+
+class TestExactCoefficients:
+    def _assert_exact(self, f):
+        assert all(type(c) is Fraction for c in f.coeffs), f.coeffs
+
+    def test_int_and_fraction_input_is_exact(self):
+        f = TruncatedSeries(0.0, [1, Fraction(1, 3), 0, -2])
+        self._assert_exact(f)
+        assert f.coeffs == (1, Fraction(1, 3), 0, -2)
+
+    def test_operations_stay_exact(self):
+        f = TruncatedSeries(0.0, [Fraction(2, 3), 1, Fraction(-1, 5), 4, 0])
+        g = TruncatedSeries(0.0, [3, Fraction(1, 7), 0, Fraction(5, 2), -1])
+        results = [f + g, f - g, -f, f * g, f.recip(), f.differentiate(),
+                   f.integral(Fraction(1, 2)), f.integral(0), f.truncate(2),
+                   (f * TruncatedSeries(0.0, [0, 0, 1, 0, 0])).shift_down(2),
+                   TruncatedSeries(0.0, [7]).differentiate()]
+        for r in results:
+            self._assert_exact(r)
+        # f * f^{-1} is exactly 1 to the truncation order
+        assert (f * f.recip()).coeffs == (1, 0, 0, 0, 0)
+
+    def test_exact_product_by_hand(self):
+        f = TruncatedSeries(0.0, [Fraction(1, 2), Fraction(1, 3)])
+        g = TruncatedSeries(0.0, [2, Fraction(3, 4)])
+        assert (f * g).coeffs == (1, Fraction(3, 8) + Fraction(2, 3))
+
+    def test_float_input_gives_complex(self):
+        for coeffs in ([1.0, 2.0], [1, 0.5], [Fraction(1, 2), 1j], [1.5j, 2]):
+            f = TruncatedSeries(0.0, coeffs)
+            assert all(type(c) is complex for c in f.coeffs), coeffs
+        f = TruncatedSeries(0.0, [1.0, 0.25, 0.0])
+        for r in (f * f, f.recip(), f.integral(1), f.differentiate(), f + f):
+            assert all(type(c) is complex for c in r.coeffs)
+
+    def test_mixed_operands_give_complex(self):
+        exact = TruncatedSeries(0.0, [1, Fraction(1, 2)])
+        floating = TruncatedSeries(0.0, [1.0, 0.5])
+        for r in (exact + floating, exact * floating, floating * exact,
+                  exact.integral(0.5), exact + 1, exact * 2, exact.cpow(2),
+                  TruncatedSeries.constant(1, 0.0, 2),
+                  TruncatedSeries.identity(0.0, 2)):
+            assert all(type(c) is complex for c in r.coeffs)
+        assert type(exact(0.5)) is complex
+
+    def test_repr_of_exact_series(self):
+        assert "0.5" in repr(TruncatedSeries(0.0, [Fraction(1, 2)]))

@@ -121,6 +121,32 @@ class TestPhaseSeries:
         with pytest.raises(ValueError):
             p_wave_series(30)
 
+    def test_against_mpmath_cauchy_integral(self):
+        # 30-digit reference: w0 refined by findroot, then every Taylor
+        # coefficient at z0 by the trapezoid rule for the Cauchy integral
+        # on |z - z0| = 0.12 (the nearest singularity, z = 1, is ~0.32 away)
+        mpmath = pytest.importorskip("mpmath")
+        got = p_wave_series(24).coeffs
+        with mpmath.workdps(30):
+            two_pi_i = 2j * mpmath.pi
+            w0 = mpmath.findroot(
+                lambda w: mpmath.polylog(2, w) - two_pi_i * mpmath.log(w),
+                mpmath.mpc(solve_constants().w0))
+            z0 = 1 + mpmath.log(1 - w0) / two_pi_i
+            radius, nodes = mpmath.mpf("0.12"), 128
+            units = [mpmath.expjpi(mpmath.mpf(2 * j) / nodes) for j in range(nodes)]
+            values = [(mpmath.polylog(2, mpmath.exp(two_pi_i * (z0 + radius * u)))
+                       - mpmath.pi ** 2 / 6) / (two_pi_i * (z0 + radius * u))
+                      for u in units]
+            for k in range(25):
+                want = complex(mpmath.fsum(v * mpmath.conj(u) ** k
+                                           for v, u in zip(values, units))
+                               / (nodes * radius ** k))
+                if k == 1:
+                    assert abs(got[1]) < 1e-14
+                else:
+                    assert abs(got[k] - want) <= 5e-14 * abs(want), k
+
 
 class TestFLambda:
     def test_constant_matches_closed_form(self):
