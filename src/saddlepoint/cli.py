@@ -19,6 +19,7 @@ digits so reruns are byte identical.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -218,6 +219,8 @@ def _cmd_example_sylvester(args) -> int:
         n = int(args.n)
         try:
             expansion = waves.wave_coefficients(lam, t_max=terms - 1)
+            if not all(cmath.isfinite(c) for c in expansion.coeffs):
+                raise OverflowError     # complex arithmetic gave inf or nan
         except OverflowError:
             raise ValueError(f"the wave coefficients overflow double precision "
                              f"at lambda = {args.lam}") from None
@@ -226,6 +229,8 @@ def _cmd_example_sylvester(args) -> int:
         except OverflowError:
             raise ValueError(
                 f"w0^(-N) overflows double precision at N = {n}") from None
+        if not all(math.isfinite(v) for _, v in values):
+            raise ValueError(f"the main terms overflow double precision at N = {n}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

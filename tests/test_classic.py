@@ -56,6 +56,21 @@ class TestExactTables:
         assert d[8] == Fraction(947, 5544000)
         assert all(d[s] == 0 for s in (1, 3, 5, 7))
 
+    def test_stirling_against_exp_of_log_series_oracle(self):
+        # N!/(sqrt(2 pi N) (N/e)^N) = exp(h(1/N)) with
+        # h(x) = sum_k B_2k / (2k (2k - 1)) x^(2k - 1); the exponential by
+        # m g_m = sum_k k h_k g_{m-k}, which shares nothing with the Bell table
+        m_max = 40
+        h = [Fraction(0)] * (m_max + 1)
+        for k in range(1, (m_max + 1) // 2 + 1):
+            h[2 * k - 1] = bernoulli(2 * k) / (2 * k * (2 * k - 1))
+        g = [Fraction(1)]
+        for m in range(1, m_max + 1):
+            g.append(sum(k * h[k] * g[m - k] for k in range(1, m + 1)) / m)
+        table = gamma_stirling(m_max)
+        assert table == g[1:]
+        assert all(type(x) is Fraction for x in table)
+
     def test_parabolic_q_against_series_recip_oracle(self):
         # z^2/(1 - cos z) = (z/2)^2 / sin^2(z/2) as a product of two
         # Bernoulli generating functions:

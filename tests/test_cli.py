@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,12 +121,24 @@ class TestExample:
         (["--lambda", "450", "--n", "10"], "overflow"),
         (["--lambda", "1e300", "--n", "1"], "overflow"),
         (["--lambda", "1e400"], "overflow"),
+        (["--lambda", "420", "--terms", "7"], "overflow"),
+        (["--lambda", "441", "--terms", "1", "--n", "2"], "overflow"),
     ])
     def test_sylvester_crash_is_input_error(self, capsys, argv, message):
         code, out, err = run(capsys, ["example", "sylvester", *argv])
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    def test_sylvester_large_finite_lambda(self, capsys):
+        # the largest coefficients here are ~1e292: finite, so exit 0
+        code, out, _ = run(capsys, ["example", "sylvester", "--lambda", "400",
+                                    "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        values = [c[part] for c in payload["coefficients"] for part in ("re", "im")]
+        values += [t["value"] for t in payload["main_terms"]]
+        assert all(math.isfinite(v) for v in values)
 
     @pytest.mark.parametrize("argv, message", [
         (["gamma", "--n", "inf"], "finite"),

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from saddlepoint import classic, expansion
 from saddlepoint.series import (TruncatedSeries, bell_hat, bell_hat_table,
                                 bernoulli, binomial, stirling2)
 
@@ -21,6 +22,35 @@ def random_series(rng, base=0.0, order=8, constant=None):
 
 def max_coeff_diff(f, g):
     return max(abs(a - b) for a, b in zip(f.coeffs, g.coeffs))
+
+
+def reference_bell_table(i_max, p):
+    """The Bell table by convolution on the argument type itself: every
+    multiply-add in ``Fraction`` (or ``complex``) arithmetic."""
+    zero = Fraction(0) if all(
+        isinstance(a, (int, Fraction)) for a in p[:i_max]) else 0.0 + 0.0j
+    base = [zero] + [p[k] for k in range(i_max)]
+    table = [[zero] * (i_max + 1) for _ in range(i_max + 1)]
+    table[0][0] = zero + 1
+    power = [zero] * (i_max + 1)
+    power[0] = zero + 1
+    for j in range(1, i_max + 1):
+        new = [zero] * (i_max + 1)
+        for a in range(j - 1, i_max):
+            pa = power[a]
+            if pa == 0:
+                continue
+            for b in range(1, i_max + 1 - a):
+                new[a + b] = new[a + b] + pa * base[b]
+        power = new
+        for i in range(j, i_max + 1):
+            table[i][j] = power[i]
+    return table
+
+
+def assert_exact_table(table, want):
+    assert table == want
+    assert all(type(x) is Fraction for row in table for x in row)
 
 
 class TestArithmetic:
@@ -293,6 +323,57 @@ class TestBellHat:
     def test_insufficient_arguments(self):
         with pytest.raises(ValueError, match="argument"):
             bell_hat(5, 2, [1, 2])
+
+
+class TestBellHatTableExact:
+    PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+              59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+    def random_argument(self, rng):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-7, 7)
+        if kind == 2:
+            return Fraction(rng.choice((-1, 1)), rng.choice(self.PRIMES))
+        if kind == 3:
+            return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+        return Fraction(0)
+
+    def test_random_rationals_match_reference(self):
+        rng = random.Random(141)
+        for _ in range(30):
+            i_max = rng.randint(1, 30)
+            args = [self.random_argument(rng) for _ in range(i_max)]
+            assert_exact_table(bell_hat_table(i_max, args),
+                               reference_bell_table(i_max, args))
+
+    def test_corners(self):
+        assert_exact_table(bell_hat_table(0, []), [[Fraction(1)]])
+        for zeros in ([0] * 6, [Fraction(0)] * 6):
+            table = bell_hat_table(6, zeros)
+            assert_exact_table(table, reference_bell_table(6, zeros))
+            assert table[0][0] == 1
+            assert all(x == 0 for row in table[1:] for x in row)
+
+    def test_kepler_and_parabolic_tables_match_reference(self, monkeypatch):
+        tables = (classic.kepler_d_table(40), classic.parabolic_d_table(40))
+        monkeypatch.setattr(expansion, "bell_hat_table", reference_bell_table)
+        for got, want in zip(tables, (classic.kepler_d_table(40),
+                                      classic.parabolic_d_table(40))):
+            assert got == want
+            assert all(type(x) is Fraction for x in got)
+
+    def test_complex_input_matches_reference_bit_for_bit(self):
+        rng = random.Random(142)
+        args = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)]
+        args[2], args[5], args[11] = 0j, 0.0, 3
+        table = bell_hat_table(20, args)
+        want = reference_bell_table(20, args)
+        assert [[repr(x) for x in row] for row in table] == \
+            [[repr(x) for x in row] for row in want]
+        assert all(type(x) is complex for row in table for x in row)
 
 
 class TestStructure:
