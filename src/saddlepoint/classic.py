@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .expansion import alpha_bell, bell_sums
+from .expansion import bell_sums
 from .quadrature import Arc, Contour, Segment
 from .saddle import SaddleNormalForm
 from .series import TruncatedSeries
@@ -199,13 +199,12 @@ def center_normal_form(eps: float, order: int) -> SaddleNormalForm:
 
 
 def center_d_values(eps: float, s_max: int) -> list:
-    """d(s) = 2 p0^{s/2} alpha_s; for odd s these are the real numbers
+    """d(s) = 2 p0^{s/2} alpha_s, the :func:`bell_sums` of q and the
+    phase ratios at mu = 2, a = 0; for odd s these are the real numbers
     with d(s) (1 - eps^2)^{(s+1)/2} an apparent polynomial in eps^2."""
-    nf = center_normal_form(eps, s_max + 1)
-    q = TruncatedSeries(nf.z0, center_q_coeffs(eps, s_max + 1))
-    alphas = alpha_bell(nf, q, 0, s_max + 1)
-    p0 = nf.p0.real
-    return [2.0 * p0 ** (s / 2.0) * alphas.alphas[s] for s in range(s_max + 1)]
+    phi = center_normal_form(eps, s_max + 1).phi
+    return bell_sums(center_q_coeffs(eps, s_max + 1),
+                     [-c for c in phi.coeffs[1:s_max + 1]], 0, 2, s_max + 1)
 
 
 def center_contour(eps: float, dip_radius: float = 0.25) -> Contour:

@@ -11,21 +11,27 @@ polynomial sum :func:`bell_sums` over the Taylor data (``alpha_bell``;
 on ``Fraction`` data it also gives the exact tables of ``classic``)
 and per-order series powering by J.C.P. Miller's recurrence
 (``alpha_direct``), which shares no arithmetic with ``bell_sums``.
-All fractional powers of p0 and N are principal; the contour's branch
-data enters only through sector phases e^{2 pi i k (s+a)/mu}, attached
-by :func:`assemble` according to how the contour meets the saddle,
-with the Gamma factor Gamma((s+a)/mu) from ``math.gamma`` on the real
-axis and from Lanczos' approximation (g = 7, n = 9; SIAM J. Numer.
-Anal. B 1, 1964) with reflection elsewhere:
+All fractional powers of p0 and N are principal; the contour enters
+only through the sector phases of :func:`assemble`, one rule for every
+variant: the coefficient of N^(-e_s), e_s = (s+a)/mu, is
 
-* ``Endpoint(k)``      - contour starts at z0 into valley k;
+    Gamma(e_s) alpha_s (e^{2 pi i k_out e_s} - e^{2 pi i k_in e_s})
+
+with Gamma from ``math.gamma`` on the real axis and from Lanczos'
+approximation (g = 7, n = 9; SIAM J. Numer. Anal. B 1, 1964) with
+reflection elsewhere, and (k_in, k_out) from the variant:
+
+* ``Endpoint(k)``      - starts at z0 into valley k: no entry term;
 * ``Through(k1, k2)``  - enters through valley k1, leaves through k2;
-* ``EvenOpposite(k)``  - straight passage between opposite valleys
-  (mu even): odd orders cancel, even ones double;
-* ``CirclePath(k1, k2)`` - path circles z0 between the two valleys,
-  winding (k2 - k1)/mu turns; exponents (s+a)/mu exactly equal to an
-  integer m <= 0 hit a Gamma pole and are replaced by the finite factor
-  2 pi i (k2 - k1) (-1)^m / |m|!.
+* ``EvenOpposite(k)``  - straight passage between opposite valleys,
+  ``Through(k + mu/2, k)`` (mu even);
+* ``CirclePath(k1, k2)`` - circles z0 from valley k1 to k2, winding
+  (k2 - k1)/mu turns; an exponent e_s exactly equal to an integer
+  m <= 0 hits a Gamma pole and takes the finite factor
+  2 pi i (k2 - k1) (-1)^m / |m|! instead.
+
+Phases at quarter turns are exactly 1, i, -1 or -i, so a term whose
+phases cancel is an exact zero.
 
 All values are immutable and all operations pure; the per-order loops
 share no state and the module is safe for concurrent use.
@@ -159,6 +165,11 @@ class AsymptoticExpansion:
         return len(self.terms)
 
     def evaluate(self, n: float, terms: Optional[int] = None) -> complex:
+        acc = self.partial_sum(n, terms)
+        return cmath.exp(n * self.p_at_z0) * acc
+
+    def partial_sum(self, n: float, terms: Optional[int] = None) -> complex:
+        """The bracketed sum without the e^{N p(z0)} prefactor."""
         if n <= 0:
             raise ValueError("expansion parameter N must be positive")
         if terms is None:
@@ -172,11 +183,7 @@ class AsymptoticExpansion:
             if term.coefficient == 0:
                 continue
             acc += term.coefficient * cmath.exp(-term.exponent * log_n)
-        return cmath.exp(n * self.p_at_z0) * acc
-
-    def partial_sum(self, n: float, terms: Optional[int] = None) -> complex:
-        """The bracketed sum without the e^{N p(z0)} prefactor."""
-        return self.evaluate(n, terms) * cmath.exp(-n * self.p_at_z0)
+        return acc
 
 
 def _exponent(s: int, a: ExponentParam, mu: int):
@@ -296,7 +303,14 @@ def _warn_near_pole(e_s: complex, s: int) -> None:
             f"the finite replacement rule", RuntimeWarning, stacklevel=3)
 
 
+_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
 def _phase(k: int, e_s) -> complex:
+    """e^{2 pi i k e_s}, exactly 1, i, -1 or -i on a quarter turn."""
+    quarters = 4 * k * complex(e_s)
+    if quarters.imag == 0 and quarters.real.is_integer():
+        return _QUARTER_TURNS[int(quarters.real) % 4]
     return cmath.exp(2j * math.pi * k * complex(e_s))
 
 
@@ -304,53 +318,45 @@ def assemble(alphas: AlphaSequence, nf: SaddleNormalForm,
              branch: BranchSpec) -> AsymptoticExpansion:
     """Attach Gamma factors and sector phases to an alpha sequence.
 
-    The coefficient of N^(-(s+a)/mu) becomes, per variant:
-
-    * Endpoint(k):        Gamma(e_s) alpha_s e^{2 pi i k e_s}
-    * Through(k1,k2):     Gamma(e_s) alpha_s (e^{2 pi i k2 e_s} - e^{2 pi i k1 e_s})
-    * EvenOpposite(k):    0 for odd s, else 2 Gamma(e_s) alpha_s e^{2 pi i k e_s}
-    * CirclePath(k1,k2):  as Through, except an exponent that is
-      exactly an integer m <= 0 (a Fraction, or a float or complex
-      value with zero imaginary part) contributes
-      2 pi i (k2 - k1) (-1)^m / |m|! alpha_s instead.
-
-    A Gamma pole outside CirclePath has no replacement rule and is a
-    hard error.
+    Every variant takes the one rule Gamma(e_s) alpha_s (e^{2 pi i k_out
+    e_s} - e^{2 pi i k_in e_s}), with no entry term for Endpoint and
+    EvenOpposite(k) = Through(k + mu/2, k).  Quarter-turn phases are
+    exact, so a term whose phases cancel is an exact zero.  An exponent
+    exactly equal to an integer m <= 0 (a Fraction, or a float or
+    complex value with zero imaginary part) takes the CirclePath
+    replacement 2 pi i (k2 - k1) (-1)^m / |m|! alpha_s; under any other
+    variant it is a hard error.
     """
     mu = nf.mu
     a = alphas.a
-    if isinstance(branch, EvenOpposite) and mu % 2 != 0:
-        raise ValueError("opposite-sector variant requires even mu")
+    if isinstance(branch, EvenOpposite):
+        if mu % 2 != 0:
+            raise ValueError("opposite-sector variant requires even mu")
+        branch = Through(branch.k + mu // 2, branch.k)
+    if isinstance(branch, Endpoint):
+        k_in, k_out = None, branch.k
+    elif isinstance(branch, (Through, CirclePath)):
+        k_in, k_out = branch.k1, branch.k2
+    else:
+        raise TypeError(f"unknown branch variant {branch!r}")
     terms = []
     for s, alpha in enumerate(alphas.alphas):
         e_s = _exponent(s, a, mu)
-        degenerate = _degenerate_order(e_s)
-        if degenerate is None and not isinstance(e_s, Fraction):
-            _warn_near_pole(complex(e_s), s)
-        if degenerate is not None and not isinstance(branch, CirclePath):
-            raise ValueError(
-                f"exponent (s+a)/mu = {degenerate} at s = {s} hits a Gamma "
-                f"pole; only a circling path has a finite replacement")
-        if isinstance(branch, Endpoint):
-            coeff = _cgamma(complex(e_s)) * alpha * _phase(branch.k, e_s)
-        elif isinstance(branch, Through):
-            coeff = (_cgamma(complex(e_s)) * alpha
-                     * (_phase(branch.k2, e_s) - _phase(branch.k1, e_s)))
-        elif isinstance(branch, EvenOpposite):
-            if s % 2 == 1:
-                coeff = 0.0 + 0.0j
-            else:
-                coeff = 2.0 * _cgamma(complex(e_s)) * alpha * _phase(branch.k, e_s)
+        m = _degenerate_order(e_s)
+        if m is None:
+            if not isinstance(e_s, Fraction):
+                _warn_near_pole(complex(e_s), s)
+            phases = _phase(k_out, e_s)
+            if k_in is not None:
+                phases -= _phase(k_in, e_s)
+            coeff = 0j if phases == 0 else _cgamma(complex(e_s)) * alpha * phases
         elif isinstance(branch, CirclePath):
-            if degenerate is not None:
-                m = degenerate
-                coeff = (2j * math.pi * branch.winding * (-1.0) ** m
-                         / math.factorial(abs(m))) * alpha
-            else:
-                coeff = (_cgamma(complex(e_s)) * alpha
-                         * (_phase(branch.k2, e_s) - _phase(branch.k1, e_s)))
+            coeff = (2j * math.pi * branch.winding * (-1.0) ** m
+                     / math.factorial(abs(m))) * alpha
         else:
-            raise TypeError(f"unknown branch variant {branch!r}")
+            raise ValueError(
+                f"exponent (s+a)/mu = {m} at s = {s} hits a Gamma "
+                f"pole; only a circling path has a finite replacement")
         terms.append(Term(s=s, exponent=complex(e_s), coefficient=complex(coeff)))
     return AsymptoticExpansion(p_at_z0=nf.p_at_z0, terms=tuple(terms), a=a)
 

@@ -493,17 +493,17 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
     """Both alpha routes, assembly, and the expansion against the oracle
     at each N of the problem.
 
-    The route deviation is the largest route difference relative to the
-    largest |alpha|.  The oracle takes the branch-tracked (z - z0)^(a-1)
-    factor when a != 1.  A branch variant that does not fit the saddle
-    raises ``ValueError``.
+    The route deviation is max_s |bell_s - direct_s| / |bell_s|, with
+    the largest |alpha| in place of a zero |bell_s|.  The oracle takes
+    the branch-tracked (z - z0)^(a-1) factor when a != 1.  A branch
+    variant that does not fit the saddle raises ``ValueError``.
     """
     nf = problem.normal_form
     alphas = alpha_bell(nf, problem.q, problem.a, problem.order)
     cross = alpha_direct(nf, problem.q, problem.a, problem.order)
-    scale = max(max(abs(x) for x in alphas.alphas), 1e-300)
-    route_dev = max(abs(x - y) for x, y in
-                    zip(alphas.alphas, cross.alphas)) / scale
+    scale = max(abs(x) for x in alphas.alphas) or 1.0
+    route_dev = max(abs(x - y) / (abs(x) if x != 0 else scale)
+                    for x, y in zip(alphas.alphas, cross.alphas))
     expansion = assemble(alphas, nf, problem.branch)
 
     validations = []

@@ -170,14 +170,6 @@ class QuadratureResult:
     evaluations: int
     converged: bool = True
 
-    def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
-        return QuadratureResult(
-            self.value + other.value,
-            self.error_estimate + other.error_estimate,
-            self.evaluations + other.evaluations,
-            self.converged and other.converged,
-        )
-
 
 # 7/15 Gauss-Kronrod pair on [-1, 1]; Kronrod nodes with weights, the
 # Gauss rule reuses every second node.

@@ -11,10 +11,10 @@ saddle point z0 = 1 + log(1 - w0) / (2 pi i) of the phase
 
 satisfies e^{p(z0)} = 1 / w0.  The coefficients are
 
-    a_t(lambda) = -4i sum_{m=0}^{t} Gamma(m + 1/2) alpha_{2m}(f_lambda u_{t-m})
+    a_t(lambda) = -2i sum_{m=0}^{t} c_{2m}(f_lambda u_{t-m})
 
-with alpha_{2m} the saddle-point expansion coefficients (mu = 2, a = 1)
-of the amplitude f_lambda(z) u_j(z) built from
+with c_{2m} = 2 Gamma(m + 1/2) alpha_{2m} the opposite-valley term 2m
+(mu = 2, a = 1) of the amplitude f_lambda(z) u_j(z) built from
 
     f_lambda(z) = (z / (2 sin(pi (z-1))))^{1/2} e^{-pi i z (2 lambda + 1/2)},
     g_l(z) = -B_{2l}/(2l)! (pi z)^{2l-1} cot^{(2l-2)}(pi z),
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from .expansion import alpha_bell
+from .expansion import EvenOpposite, alpha_bell, assemble
 from .saddle import SaddleNormalForm, normalize
 from .series import TruncatedSeries, bernoulli
 
@@ -278,9 +278,9 @@ class WaveExpansion:
         _check_integral(self.lam, n)
         acc = 0.0 + 0.0j
         for t in range(terms):
-            acc += self.coeffs[t] * float(n) ** (-t)
+            acc += self.coeffs[t] * float(n) ** (-t - 2)
         growth = cmath.exp(-n * cmath.log(self.w0))
-        return (growth * acc / n ** 2).real
+        return (growth * acc).real
 
 
 def _check_integral(lam: Rat, n: int) -> None:
@@ -294,9 +294,9 @@ def _check_integral(lam: Rat, n: int) -> None:
 def wave_coefficients(lam: Rat, t_max: int = 3) -> WaveExpansion:
     """Coefficients a_t(lambda) for t = 0..t_max.
 
-    a_t = -4i sum_{m <= t} Gamma(m + 1/2) alpha_{2m}(f_lambda u_{t-m}),
-    with every alpha computed by the Bell-polynomial route on the wave
-    phase normal form (mu = 2, a = 1).
+    a_t = -2i sum_{m <= t} c_{2m}(f_lambda u_{t-m}), with c_{2m} the
+    term 2m of ``assemble(alpha_bell(nf, f_lambda u_j, 1, S), nf,
+    EvenOpposite(0))`` on the wave phase normal form (mu = 2, a = 1).
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -305,17 +305,18 @@ def wave_coefficients(lam: Rat, t_max: int = 3) -> WaveExpansion:
     w0, z0, _ = _root_w0()
     order = 2 * t_max + 2
     nf = _phase_normal_form(order + 2)
-    alpha_by_j = []
+    terms_by_j = []
     for j in range(t_max + 1):
         q = f_lambda_series(lam, order) * u_series(j, order)
         s_count = 2 * (t_max - j) + 1
-        alpha_by_j.append(alpha_bell(nf, q, 1, s_count))
+        terms_by_j.append(assemble(alpha_bell(nf, q, 1, s_count), nf,
+                                   EvenOpposite(0)).terms)
     coeffs = []
     for t in range(t_max + 1):
         acc = 0.0 + 0.0j
         for m in range(t + 1):
-            acc += math.gamma(m + 0.5) * alpha_by_j[t - m].alphas[2 * m]
-        coeffs.append(complex(-4j * acc))
+            acc += terms_by_j[t - m][2 * m].coefficient
+        coeffs.append(complex(-2j * acc))
     return WaveExpansion(lam=lam, coeffs=tuple(coeffs), w0=w0, z0_wave=z0)
 
 

@@ -122,13 +122,21 @@ class TestExample:
         (["--lambda", "1e300", "--n", "1"], "overflow"),
         (["--lambda", "1e400"], "overflow"),
         (["--lambda", "420", "--terms", "7"], "overflow"),
-        (["--lambda", "441", "--terms", "1", "--n", "2"], "overflow"),
     ])
     def test_sylvester_crash_is_input_error(self, capsys, argv, message):
         code, out, err = run(capsys, ["example", "sylvester", *argv])
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    def test_sylvester_main_term_near_overflow(self, capsys):
+        # w0^(-N) a_0 / N^2 fits in a double although w0^(-N) a_0 does not
+        code, out, _ = run(capsys, ["example", "sylvester", "--lambda", "441",
+                                    "--terms", "1", "--n", "2",
+                                    "--format", "json"])
+        assert code == 0
+        value = json.loads(out)["main_terms"][0]["value"]
+        assert value == -4.7936855388383955e+307
 
     def test_sylvester_large_finite_lambda(self, capsys):
         # the largest coefficients here are ~1e292: finite, so exit 0
@@ -268,6 +276,23 @@ order = 4
             assert code == 0
             digits = int(out.split("agreement digits: ")[1].split()[0])
             assert digits >= 10
+
+    def test_even_opposite_with_even_a(self, tmp_path, capsys):
+        text = """\
+z0 = [0, 0]
+p = [[0,0],[0,0],[-0.5,0],[0.1,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0]]
+a = 2
+variant = "even_opposite"
+k = 0
+order = 8
+contour = [{"segment": [[-2.5, 0.0], [-0.3, 0.0]]}, {"arc": {"center": [0.0, 0.0], "radius": 0.3, "from": 3.141592653589793, "to": 0.0}}, {"segment": [[0.3, 0.0], [2.5, 0.0]]}]
+n_values = [40.0]
+"""
+        path = tmp_path / "cubic.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, ["expand", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["validation"][0]["agreement_digits"] >= 5
 
     def test_json_format(self, tmp_path, capsys):
         path = tmp_path / "gamma.txt"

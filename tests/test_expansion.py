@@ -12,6 +12,7 @@ from saddlepoint.classic import gamma_normal_form
 from saddlepoint.expansion import (CirclePath, Endpoint, EvenOpposite, Through,
                                    _cgamma, alpha_bell, alpha_direct,
                                    assemble, bell_sums, vanishing_shift)
+from saddlepoint.problemfile import example_problem
 from saddlepoint.saddle import normalize
 from saddlepoint.series import TruncatedSeries
 
@@ -179,6 +180,34 @@ class TestAssemble:
                            - 2 * single.terms[s].coefficient) < 1e-13 * max(
                                1, abs(single.terms[s].coefficient))
 
+    @pytest.mark.parametrize("a", [1, 2, 3, Fraction(1, 2), 0.3 + 0.7j],
+                             ids=["1", "2", "3", "1/2", "complex"])
+    def test_even_opposite_is_through_half_turn(self, a):
+        rng = random.Random(37)
+        nf, q = random_instance(rng, 2)
+        alphas = alpha_bell(nf, q, a, 6)
+        assert (assemble(alphas, nf, EvenOpposite(0))
+                == assemble(alphas, nf, Through(1, 0)))
+
+    def test_unknown_variant_is_type_error(self):
+        rng = random.Random(37)
+        nf, q = random_instance(rng, 2)
+        with pytest.raises(TypeError, match="unknown branch variant"):
+            assemble(alpha_bell(nf, q, 1, 3), nf, (1, 0))
+
+    def test_structural_zeros_are_exact(self):
+        def terms(name, count):
+            problem = example_problem(name, terms=count).problem
+            nf = problem.normal_form
+            return assemble(alpha_bell(nf, problem.q, problem.a, problem.order),
+                            nf, problem.branch).terms
+        kepler = terms("kepler", 10)
+        assert all(kepler[s].is_zero for s in (2, 5, 8))
+        assert terms("parabolic", 8)[4].is_zero
+        center = terms("center", 13)
+        assert all(center[s].is_zero for s in range(2, 13, 2))
+        assert all(center[s].coefficient.imag == 0 for s in range(1, 13, 2))
+
     def test_even_opposite_needs_even_mu(self):
         rng = random.Random(38)
         nf, q = random_instance(rng, 3)
@@ -317,6 +346,32 @@ class TestEvaluate:
         assert abs(v4 - quad.value) / abs(quad.value) < 2e-6
         v6 = exp.evaluate(50.0, 6)
         assert abs(v6 - quad.value) / abs(quad.value) < 1e-7
+
+    def test_even_opposite_with_even_a_against_quadrature(self):
+        # p = -z^2/2 + z^3/10, a = 2: the odd orders survive and the even
+        # ones cancel, the opposite of the a = 1 pattern
+        from saddlepoint.quadrature import Contour, integrate
+        n = 40.0
+        p = TruncatedSeries(0.0, [0.0, 0.0, -0.5, 0.1] + [0.0] * 8)
+        nf = normalize(p)
+        q = TruncatedSeries.constant(1.0, 0.0, 10)
+        exp = assemble(alpha_bell(nf, q, 2, 8), nf, EvenOpposite(0))
+        assert all(t.is_zero == (t.s % 2 == 0) for t in exp.terms)
+        quad = integrate(lambda z: z * cmath.exp(n * p(z)),
+                         Contour.from_points([-2.5, 2.5]),
+                         abs_tol=0.0, rel_tol=1e-12)
+        assert abs(exp.evaluate(n) - quad.value) < 1e-5 * abs(quad.value)
+
+    def test_partial_sum_without_prefactor(self):
+        # e^{-800} underflows, but the bracketed Stirling sum is 0.0886
+        problem = example_problem("gamma").problem
+        nf = problem.normal_form
+        exp = assemble(alpha_bell(nf, problem.q, problem.a, problem.order),
+                       nf, problem.branch)
+        n = 800.0
+        want = math.sqrt(2 * math.pi / n) * (
+            1 + 1 / 9600 + 1 / (288 * n ** 2) - 139 / (51840 * n ** 3))
+        assert abs(exp.partial_sum(n) - want) < 1e-13 * want
 
     def test_kepler_reference_number(self):
         from saddlepoint.classic import kepler_normal_form

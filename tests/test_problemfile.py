@@ -7,7 +7,8 @@ import pytest
 
 from saddlepoint.expansion import CirclePath, Endpoint, EvenOpposite
 from saddlepoint.problemfile import (EXAMPLES, ProblemFileError,
-                                     example_problem, parse_problem_text)
+                                     example_problem, parse_problem_text,
+                                     run_problem)
 
 GAMMA_TEXT = """\
 # factorial integral about its interior maximum
@@ -230,3 +231,9 @@ class TestExamples:
             example_problem("kepler", n=0.0)
         with pytest.raises(ProblemFileError, match="eccentricity"):
             example_problem("center", eps=1.7)
+
+    def test_route_deviation_is_per_coefficient(self):
+        # the Bell route keeps no correct digit from s = 22 on; measured
+        # against max|alpha| instead of |alpha_s| that reads only ~1e-8
+        run = run_problem(example_problem("center", eps=0.1, terms=40).problem)
+        assert run.route_deviation > 1e-3

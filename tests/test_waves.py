@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from saddlepoint.expansion import alpha_bell
 from saddlepoint.saddle import find_saddle, normalize, theta
 from saddlepoint.series import TruncatedSeries
 from saddlepoint.waves import (WaveExpansion, dilog, f_lambda_series,
                                p_wave_series, solve_constants, u_series,
                                wave_coefficients, wave_main_term)
 from saddlepoint.waves import _g_series  # noqa: F401  (cross-checks below)
+from saddlepoint.waves import _phase_normal_form
 
 W0_REF = 0.916198 - 0.182459j
 Z0_REF = 1.181475 + 0.255528j
@@ -274,6 +276,23 @@ class TestWaveCoefficients:
             want = 2 * wc.z0_wave * cmath.exp(
                 -1j * math.pi * wc.z0_wave * (1 + 2 * lam_f))
             assert abs(got - want) < 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("lam", [0, 1, Fraction(3, 2), Fraction(7, 4)])
+    def test_coefficients_match_gamma_weighted_alphas(self, lam):
+        # reference: a_t = -4i sum_m Gamma(m + 1/2) alpha_{2m}(f_lambda u_{t-m})
+        t_max = 6
+        order = 2 * t_max + 2
+        nf = _phase_normal_form(order + 2)
+        alpha_by_j = [alpha_bell(nf, f_lambda_series(lam, order)
+                                 * u_series(j, order), 1, 2 * (t_max - j) + 1)
+                      for j in range(t_max + 1)]
+        want = []
+        for t in range(t_max + 1):
+            acc = 0.0 + 0.0j
+            for m in range(t + 1):
+                acc += math.gamma(m + 0.5) * alpha_by_j[t - m].alphas[2 * m]
+            want.append(complex(-4j * acc))
+        assert wave_coefficients(lam, t_max).coeffs == tuple(want)
 
     def test_main_term_reference_values(self):
         one = wave_main_term(1, 2000, 1)
