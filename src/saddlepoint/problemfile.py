@@ -495,8 +495,9 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
 
     The route deviation is max_s |bell_s - direct_s| / |bell_s|, with
     the largest |alpha| in place of a zero |bell_s|.  The oracle takes
-    the branch-tracked (z - z0)^(a-1) factor when a != 1.  A branch
-    variant that does not fit the saddle raises ``ValueError``.
+    the (z - z0)^(a-1) factor of ``integrate_power_factor`` when a != 1
+    (branch-tracked unless a is an integer).  A branch variant that
+    does not fit the saddle raises ``ValueError``.
     """
     nf = problem.normal_form
     alphas = alpha_bell(nf, problem.q, problem.a, problem.order)

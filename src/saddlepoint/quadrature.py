@@ -15,7 +15,12 @@ the tracked angle a deterministic function of the path parameter
 (independent of the order in which quadrature nodes are visited).
 
 Integration is pure given a reentrant integrand; pieces are processed
-and summed in contour order, so results are deterministic.
+and summed in contour order, so results are deterministic.  The same
+purity lets one call evaluate each Gauss-Kronrod panel once: the
+budget sweeps of a call retrace the same bisection tree, so a panel's
+(value, error) pair is memoized for the rest of the call and only new
+panels call the integrand.  ``QuadratureResult.evaluations`` counts
+those real integrand calls, 15 per distinct panel.
 """
 
 from __future__ import annotations
@@ -54,8 +59,9 @@ class Segment:
     def point(self, t: float) -> complex:
         return self.start + (self.end - self.start) * t
 
-    def velocity(self, t: float) -> complex:
-        return self.end - self.start
+    def point_velocity(self, t: float) -> tuple:
+        """``(point(t), dz/dt)``."""
+        return self.start + (self.end - self.start) * t, self.end - self.start
 
     @property
     def first(self) -> complex:
@@ -91,9 +97,11 @@ class Arc:
     def point(self, t: float) -> complex:
         return self.center + self.radius * cmath.exp(1j * self.angle(t))
 
-    def velocity(self, t: float) -> complex:
+    def point_velocity(self, t: float) -> tuple:
+        """``(point(t), dz/dt)`` from one complex exponential."""
+        turn = cmath.exp(1j * self.angle(t))
         sweep = self.angle_to - self.angle_from
-        return self.radius * 1j * sweep * cmath.exp(1j * self.angle(t))
+        return self.center + self.radius * turn, self.radius * 1j * sweep * turn
 
     @property
     def first(self) -> complex:
@@ -205,33 +213,42 @@ def _gk15(g: Callable[[float], complex], t0: float, t1: float):
     """One Gauss-Kronrod step of g over [t0, t1]: (K15, |K15 - G7|)."""
     mid = 0.5 * (t0 + t1)
     half = 0.5 * (t1 - t0)
+    vs = [g(mid + half * x) for x in _XK]
     k = 0.0 + 0.0j
+    for w, v in zip(_WK, vs):
+        k += w * v
     gauss = 0.0 + 0.0j
-    for i in range(15):
-        v = g(mid + half * _XK[i])
-        k += _WK[i] * v
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * v
+    for w, v in zip(_WG, vs[1::2]):
+        gauss += w * v
     return k * half, abs(k - gauss) * abs(half)
 
 
-def _adapt(g: Callable[[float], complex], t0: float, t1: float,
-           budget: float, rel_floor: float, depth: int, max_depth: int,
-           counter: list):
-    value, err = _gk15(g, t0, t1)
-    counter[0] += 15
+def _adapt(g: Callable[[float], complex], piece: int, panels: dict,
+           t0: float, t1: float, budget: float, rel_floor: float,
+           depth: int, max_depth: int):
+    """Bisect [t0, t1] of piece ``piece`` until each panel meets its budget.
+
+    ``panels`` maps (piece, t0, t1) to the panel's (value, error) and
+    is shared by every sweep of one call, so a panel already evaluated
+    is read back instead of calling g again.
+    """
+    key = (piece, t0, t1)
+    cached = panels.get(key)
+    if cached is None:
+        cached = panels[key] = _gk15(g, t0, t1)
+    value, err = cached
     # the relative-to-panel acceptance keeps refinement from chasing
     # rounding noise when the absolute budget underflows the panel's
     # own floating-point floor; the caller re-checks the global error
     done = err <= budget or err <= rel_floor * abs(value)
-    if done or depth >= max_depth or counter[0] >= counter[1]:
-        return value, err, 15, done
+    if done or depth >= max_depth or 15 * len(panels) >= MAX_EVALUATIONS:
+        return value, err, done
     mid = 0.5 * (t0 + t1)
-    lv, le, lev, lok = _adapt(g, t0, mid, budget / 2.0, rel_floor,
-                              depth + 1, max_depth, counter)
-    rv, re_, rev_, rok = _adapt(g, mid, t1, budget / 2.0, rel_floor,
-                                depth + 1, max_depth, counter)
-    return lv + rv, le + re_, 15 + lev + rev_, lok and rok
+    lv, le, lok = _adapt(g, piece, panels, t0, mid, budget / 2.0, rel_floor,
+                         depth + 1, max_depth)
+    rv, re_, rok = _adapt(g, piece, panels, mid, t1, budget / 2.0, rel_floor,
+                          depth + 1, max_depth)
+    return lv + rv, le + re_, lok and rok
 
 
 #: hard cap on integrand evaluations per integrate() call; pathological
@@ -246,31 +263,33 @@ def _integrate_parameterized(integrands, abs_tol, rel_tol, max_depth):
     The convergence target couples absolute and relative tolerances
     through the magnitude of the running estimate, so the budget is
     first set from a rough single-panel pass and the sweep repeats if
-    the converged value reveals the budget was too loose.
+    the converged value reveals the budget was too loose.  A later sweep
+    revisits the panels of the earlier ones, so panels are memoized for
+    the whole call (valid because the integrands are pure) and each is
+    evaluated at most once; the memo holds about
+    ``MAX_EVALUATIONS / 15`` entries at most and is dropped on return.
     """
-    rough = sum(_gk15(g, 0.0, 1.0)[0] for g in integrands)
-    evals_total = 15 * len(integrands)
-    value = rough
+    panels = {(i, 0.0, 1.0): _gk15(g, 0.0, 1.0)
+              for i, g in enumerate(integrands)}
+    value = sum(v for v, _ in panels.values())
     rel_floor = rel_tol / 16.0
     for _ in range(3):
         budget = max(abs_tol, rel_tol * abs(value)) / max(len(integrands), 1)
-        counter = [0, MAX_EVALUATIONS]
         total = 0.0 + 0.0j
         err = 0.0
         ok = True
-        for g in integrands:
-            v, e, n, flag = _adapt(g, 0.0, 1.0, budget, rel_floor,
-                                   0, max_depth, counter)
+        for i, g in enumerate(integrands):
+            v, e, flag = _adapt(g, i, panels, 0.0, 1.0, budget, rel_floor,
+                                0, max_depth)
             total += v
             err += e
-            evals_total += n
             ok = ok and flag
         value = total
         if err <= max(abs_tol, rel_tol * abs(value)):
-            return QuadratureResult(value, err, evals_total, ok)
-        if counter[0] >= counter[1]:
+            return QuadratureResult(value, err, 15 * len(panels), ok)
+        if 15 * len(panels) >= MAX_EVALUATIONS:
             break
-    return QuadratureResult(value, err, evals_total, False)
+    return QuadratureResult(value, err, 15 * len(panels), False)
 
 
 def integrate(f: Callable[[complex], complex],
@@ -288,7 +307,13 @@ def integrate(f: Callable[[complex], complex],
     """
 
     def make(piece: Piece):
-        return lambda t: f(piece.point(t)) * piece.velocity(t)
+        point_velocity = piece.point_velocity
+
+        def g(t: float) -> complex:
+            z, v = point_velocity(t)
+            return f(z) * v
+
+        return g
 
     return _integrate_parameterized(
         [make(p) for p in contour.pieces], abs_tol, rel_tol, max_depth)
@@ -306,7 +331,6 @@ class _BranchTracker:
 
     def __init__(self, piece: Piece, z0: complex, start_angle: float):
         self.piece = piece
-        self.z0 = z0
         self.start = start_angle
         if isinstance(piece, Arc) and abs(piece.center - z0) <= _ENDPOINT_TOL:
             self.exact_arc = True
@@ -318,25 +342,25 @@ class _BranchTracker:
             chunks = max(16, int(math.ceil(sweep / (math.pi / 8))))
         else:
             chunks = 16
-        self.knots = [i / chunks for i in range(chunks + 1)]
+        self.chunks = chunks
+        # z(knot) - z0 at every knot, reused by each angle() call
+        self.knot_offsets = [piece.point(i / chunks) - z0
+                             for i in range(chunks + 1)]
+        if any(w == 0 for w in self.knot_offsets):
+            raise ValueError("contour touches the branch point z0")
         angles = [start_angle]
-        for a, b in zip(self.knots, self.knots[1:]):
-            za = piece.point(a) - z0
-            zb = piece.point(b) - z0
-            if za == 0 or zb == 0:
-                raise ValueError("contour touches the branch point z0")
+        for za, zb in zip(self.knot_offsets, self.knot_offsets[1:]):
             angles.append(angles[-1] + cmath.phase(zb / za))
         self.knot_angles = angles
         self.end = angles[-1]
 
-    def angle(self, t: float) -> float:
+    def angle(self, t: float, w: complex) -> float:
+        """arg(z(t) - z0) on the tracked branch, given w = z(t) - z0."""
         if self.exact_arc:
             sweep = self.piece.angle_to - self.piece.angle_from
             return self.start + sweep * t
-        idx = min(int(t * (len(self.knots) - 1)), len(self.knots) - 2)
-        za = self.piece.point(self.knots[idx]) - self.z0
-        zt = self.piece.point(t) - self.z0
-        return self.knot_angles[idx] + cmath.phase(zt / za)
+        idx = min(int(t * self.chunks), self.chunks - 1)
+        return self.knot_angles[idx] + cmath.phase(w / self.knot_offsets[idx])
 
 
 def integrate_power_factor(f: Callable[[complex], complex],
@@ -351,9 +375,15 @@ def integrate_power_factor(f: Callable[[complex], complex],
     The branch starts at ``contour.initial_branch_angle`` (principal
     arg of the starting point when unset) and follows the path by
     continuity, so windings around z0 accumulate phase.  The contour
-    must stay away from z0.
+    must stay away from z0, except for an integer a >= 1: there the
+    factor is the polynomial (z - z0)^(a-1), integrated as such, and
+    the contour may pass through z0.
     """
     aa = complex(a)
+    if aa.imag == 0.0 and aa.real >= 1.0 and aa.real.is_integer():
+        m = int(aa.real) - 1
+        return integrate(lambda z: (z - z0) ** m * f(z), contour,
+                         abs_tol, rel_tol, max_depth)
     for piece in contour.pieces:
         _reject_near_branch_point(piece, z0)
     if contour.initial_branch_angle is None:
@@ -368,14 +398,17 @@ def integrate_power_factor(f: Callable[[complex], complex],
         trackers.append(tr)
         angle = tr.end
 
+    exponent = aa - 1.0
+
     def make(tr: _BranchTracker):
-        piece = tr.piece
+        point_velocity = tr.piece.point_velocity
+        tracked_angle = tr.angle
 
         def g(t: float) -> complex:
-            z = piece.point(t)
+            z, v = point_velocity(t)
             w = z - z0
-            power = cmath.exp((aa - 1.0) * complex(math.log(abs(w)), tr.angle(t)))
-            return power * f(z) * piece.velocity(t)
+            power = cmath.exp(exponent * complex(math.log(abs(w)), tracked_angle(t, w)))
+            return power * f(z) * v
 
         return g
 
@@ -387,12 +420,23 @@ def _reject_near_branch_point(piece: Piece, z0: complex) -> None:
     if isinstance(piece, Segment):
         d = _point_segment_distance(z0, piece.start, piece.end)
     else:
-        if abs(piece.center - z0) <= _ENDPOINT_TOL:
-            d = piece.radius
-        else:
-            d = min(abs(piece.point(i / 64) - z0) for i in range(65))
+        d = _point_arc_distance(z0, piece)
     if d <= 1e-12:
         raise ValueError("contour passes through the branch point z0")
+
+
+def _point_arc_distance(p: complex, arc: Arc) -> float:
+    """Exact distance from p to the arc: radial when the ray from the
+    center through p crosses the swept angles, else to an endpoint."""
+    d = p - arc.center
+    lo = min(arc.angle_from, arc.angle_to)
+    span = abs(arc.angle_to - arc.angle_from)
+    # the representative of arg(d) at or above the lower sweep angle
+    phi = cmath.phase(d)
+    phi += 2.0 * math.pi * math.ceil((lo - phi) / (2.0 * math.pi))
+    if span >= 2.0 * math.pi or phi <= lo + span:
+        return abs(abs(d) - arc.radius)
+    return min(abs(p - arc.first), abs(p - arc.last))
 
 
 def _point_segment_distance(p: complex, a: complex, b: complex) -> float:

@@ -25,6 +25,18 @@ n_values = [50.0]
 """
 
 
+CUBIC_PROBLEM = """\
+z0 = {z0}
+p = [[0,0],[0,0],[-0.5,0],[0.1,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0]]
+a = {a}
+variant = "even_opposite"
+k = 0
+order = 8
+contour = {contour}
+n_values = [40.0]
+"""
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -278,21 +290,39 @@ order = 4
             assert digits >= 10
 
     def test_even_opposite_with_even_a(self, tmp_path, capsys):
-        text = """\
-z0 = [0, 0]
-p = [[0,0],[0,0],[-0.5,0],[0.1,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0]]
-a = 2
-variant = "even_opposite"
-k = 0
-order = 8
-contour = [{"segment": [[-2.5, 0.0], [-0.3, 0.0]]}, {"arc": {"center": [0.0, 0.0], "radius": 0.3, "from": 3.141592653589793, "to": 0.0}}, {"segment": [[0.3, 0.0], [2.5, 0.0]]}]
-n_values = [40.0]
-"""
         path = tmp_path / "cubic.txt"
-        path.write_text(text)
+        path.write_text(CUBIC_PROBLEM.format(
+            z0="[0, 0]", a="2",
+            contour='[{"segment": [[-2.5, 0.0], [-0.3, 0.0]]}, '
+                    '{"arc": {"center": [0.0, 0.0], "radius": 0.3, '
+                    '"from": 3.141592653589793, "to": 0.0}}, '
+                    '{"segment": [[0.3, 0.0], [2.5, 0.0]]}]'))
         code, out, _ = run(capsys, ["expand", str(path), "--format", "json"])
         assert code == 0
         assert json.loads(out)["validation"][0]["agreement_digits"] >= 5
+
+    def test_even_a_straight_through_z0(self, tmp_path, capsys):
+        # for integer a >= 1 the weight (z - z0)^(a-1) is a polynomial,
+        # so the contour may run straight through z0
+        path = tmp_path / "cubic.txt"
+        path.write_text(CUBIC_PROBLEM.format(
+            z0="[0, 0]", a="2",
+            contour='[{"segment": [[-2.5, 0.0], [2.5, 0.0]]}]'))
+        code, out, _ = run(capsys, ["expand", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["validation"][0]["agreement_digits"] >= 5
+
+    @pytest.mark.parametrize("angle", [0.3 * math.pi / 64, 0.5 * math.pi / 64])
+    def test_arc_through_branch_point_is_input_error(self, tmp_path, capsys, angle):
+        # z0 on the unit arc, between the points a coarse sampling checks
+        path = tmp_path / "arc.txt"
+        path.write_text(CUBIC_PROBLEM.format(
+            z0=f"[{math.cos(angle)!r}, {math.sin(angle)!r}]", a='"1/2"',
+            contour='[{"arc": {"center": [0.0, 0.0], "radius": 1.0, '
+                    '"from": 0.0, "to": 3.141592653589793}}]'))
+        code, _, err = run(capsys, ["expand", str(path)])
+        assert code == 2
+        assert "branch point" in err
 
     def test_json_format(self, tmp_path, capsys):
         path = tmp_path / "gamma.txt"

@@ -2,11 +2,16 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
-from saddlepoint.quadrature import (Arc, Contour, Segment, builtin_integrand,
-                                    integrate, integrate_power_factor)
+from saddlepoint import quadrature
+from saddlepoint.problemfile import example_problem
+from saddlepoint.quadrature import (_WG, _WK, _XK, MAX_DEPTH, Arc, Contour,
+                                    Segment, _BranchTracker, _point_arc_distance,
+                                    builtin_integrand, integrate,
+                                    integrate_power_factor)
 
 
 class TestContourStructure:
@@ -153,6 +158,199 @@ class TestPowerFactor:
         c = Contour.from_points([-1.0, 1.0])
         with pytest.raises(ValueError, match="branch point"):
             integrate_power_factor(lambda z: 1.0, 0.5, 0.0, c)
+
+    @pytest.mark.parametrize("a, exact", [(1, 2.0), (2, 0.0), (3, 2.0 / 3.0),
+                                          (4.0, 0.0), (5 + 0j, 0.4)])
+    def test_integer_a_is_a_polynomial_through_z0(self, a, exact):
+        # (z - z0)^(a-1) has no branch point for integer a >= 1
+        r = integrate_power_factor(lambda z: 1.0, a, 0j,
+                                   Contour.from_points([-1, 1]))
+        assert r.converged
+        assert abs(r.value - exact) < 1e-14
+
+    @pytest.mark.parametrize("a", [0, -1])
+    def test_pole_on_contour_rejected(self, a):
+        with pytest.raises(ValueError, match="branch point"):
+            integrate_power_factor(lambda z: 1.0, a, 0j,
+                                   Contour.from_points([-1, 1]))
+
+    @pytest.mark.parametrize("angle", [0.3 * math.pi / 64, 0.5 * math.pi / 64])
+    def test_arc_through_branch_point_rejected(self, angle):
+        # z0 sits on the arc between the points a coarse sampling checks
+        z0 = cmath.exp(1j * angle)
+        c = Contour([Arc(0.0, 1.0, 0.0, math.pi)])
+        with pytest.raises(ValueError, match="branch point"):
+            integrate_power_factor(lambda z: 1.0, 0.5, z0, c)
+
+    def test_arc_distance_is_exact(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            arc = Arc(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                      rng.uniform(0.1, 2.0), rng.uniform(-7, 7),
+                      rng.uniform(-7, 7))
+            p = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            samples = 4000
+            sampled = min(abs(arc.point(i / samples) - p)
+                          for i in range(samples + 1))
+            step = arc.radius * abs(arc.angle_to - arc.angle_from) / samples
+            exact = _point_arc_distance(p, arc)
+            assert exact <= sampled + 1e-12
+            assert sampled - exact <= step
+
+
+def _reference_gk15(g, t0, t1):
+    mid = 0.5 * (t0 + t1)
+    half = 0.5 * (t1 - t0)
+    k = 0.0 + 0.0j
+    gauss = 0.0 + 0.0j
+    for i in range(15):
+        v = g(mid + half * _XK[i])
+        k += _WK[i] * v
+        if i % 2 == 1:
+            gauss += _WG[i // 2] * v
+    return k * half, abs(k - gauss) * abs(half)
+
+
+def _reference_adapt(g, t0, t1, budget, rel_floor, depth, max_depth, counter):
+    value, err = _reference_gk15(g, t0, t1)
+    counter[0] += 15
+    done = err <= budget or err <= rel_floor * abs(value)
+    if done or depth >= max_depth or counter[0] >= counter[1]:
+        return value, err, done
+    mid = 0.5 * (t0 + t1)
+    lv, le, lok = _reference_adapt(g, t0, mid, budget / 2.0, rel_floor,
+                                   depth + 1, max_depth, counter)
+    rv, re_, rok = _reference_adapt(g, mid, t1, budget / 2.0, rel_floor,
+                                    depth + 1, max_depth, counter)
+    return lv + rv, le + re_, lok and rok
+
+
+def _reference_integrate(integrands, abs_tol, rel_tol, max_depth=MAX_DEPTH):
+    """The oracle without panel memo: three sweeps, each starting afresh,
+    each with its own evaluation cap; returns (value, error, converged)."""
+    value = sum(_reference_gk15(g, 0.0, 1.0)[0] for g in integrands)
+    rel_floor = rel_tol / 16.0
+    for _ in range(3):
+        budget = max(abs_tol, rel_tol * abs(value)) / max(len(integrands), 1)
+        counter = [0, quadrature.MAX_EVALUATIONS]
+        total = 0.0 + 0.0j
+        err = 0.0
+        ok = True
+        for g in integrands:
+            v, e, flag = _reference_adapt(g, 0.0, 1.0, budget, rel_floor,
+                                          0, max_depth, counter)
+            total += v
+            err += e
+            ok = ok and flag
+        value = total
+        if err <= max(abs_tol, rel_tol * abs(value)):
+            return value, err, ok
+        if counter[0] >= counter[1]:
+            break
+    return value, err, False
+
+
+def _reference_velocity(piece, t):
+    if isinstance(piece, Segment):
+        return piece.end - piece.start
+    sweep = piece.angle_to - piece.angle_from
+    return piece.radius * 1j * sweep * cmath.exp(1j * piece.angle(t))
+
+
+def _reference_integrands(f, a, z0, contour):
+    """Per-piece integrands as built before the geometry was hoisted."""
+    if a == 1:
+        return [lambda t, piece=piece: f(piece.point(t)) * _reference_velocity(piece, t)
+                for piece in contour.pieces]
+    aa = complex(a)
+    if contour.initial_branch_angle is None:
+        angle = cmath.phase(contour.first - z0)
+    else:
+        angle = float(contour.initial_branch_angle)
+    out = []
+    for piece in contour.pieces:
+        tr = _BranchTracker(piece, z0, angle)
+        angle = tr.end
+
+        def tracked(t, tr=tr, piece=piece):
+            if tr.exact_arc:
+                return tr.start + (piece.angle_to - piece.angle_from) * t
+            knots = [i / tr.chunks for i in range(tr.chunks + 1)]
+            idx = min(int(t * (len(knots) - 1)), len(knots) - 2)
+            za = piece.point(knots[idx]) - z0
+            zt = piece.point(t) - z0
+            return tr.knot_angles[idx] + cmath.phase(zt / za)
+
+        def g(t, piece=piece, tracked=tracked):
+            z = piece.point(t)
+            w = z - z0
+            power = cmath.exp((aa - 1.0) * complex(math.log(abs(w)), tracked(t)))
+            return power * f(z) * _reference_velocity(piece, t)
+
+        out.append(g)
+    return out
+
+
+def _oracle_problem(name, n, **params):
+    """(f, a, z0, contour, rel_tol) of a built-in worked problem at N = n."""
+    example = example_problem(name, n=n, **params)
+    problem = example.problem
+
+    def f(z):
+        return cmath.exp(n * complex(problem.p_callable(z))) \
+            * complex(problem.q_callable(z))
+
+    return (f, problem.a, problem.normal_form.z0, problem.contour,
+            example.rel_tol)
+
+
+def _run_oracle(f, a, z0, contour, rel_tol):
+    if a == 1:
+        return integrate(f, contour, abs_tol=0.0, rel_tol=rel_tol)
+    return integrate_power_factor(f, complex(a), z0, contour,
+                                  abs_tol=0.0, rel_tol=rel_tol)
+
+
+ORACLE_CASES = [("gamma", 200.0, {}), ("parabolic", 400.0, {}),
+                ("center", 400.0, {"eps": 0.4})]
+
+
+class TestPanelMemo:
+    @pytest.mark.parametrize("name, n, params", ORACLE_CASES,
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_bit_identical_to_unmemoized_sweeps(self, name, n, params):
+        f, a, z0, contour, rel_tol = _oracle_problem(name, n, **params)
+        r = _run_oracle(f, a, z0, contour, rel_tol)
+        ref = _reference_integrate(_reference_integrands(f, a, z0, contour),
+                                   0.0, rel_tol)
+        assert (r.value, r.error_estimate, r.converged) == ref
+        # the center oracle at N = 400 exhausts all three sweeps
+        assert r.converged == (name != "center")
+
+    @pytest.mark.parametrize("name, n, params", ORACLE_CASES,
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_each_node_evaluated_once(self, name, n, params):
+        f, a, z0, contour, rel_tol = _oracle_problem(name, n, **params)
+        seen = []
+
+        def counting(z):
+            seen.append(z)
+            return f(z)
+
+        r = _run_oracle(counting, a, z0, contour, rel_tol)
+        assert r.evaluations == len(seen)
+        # the pieces do not overlap, so a repeated z is a repeated (piece, t)
+        assert len(set(seen)) == len(seen)
+
+    def test_cap_is_per_call(self, monkeypatch):
+        f, a, z0, contour, rel_tol = _oracle_problem("center", 400.0, eps=0.4)
+        cap = 900   # below the 1095 evaluations the call makes uncapped
+        monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", cap)
+        calls = []
+        r = _run_oracle(lambda z: calls.append(z) or f(z), a, z0, contour, rel_tol)
+        assert not r.converged
+        # past the cap each open bisection level finishes one panel
+        assert len(calls) == r.evaluations < cap + 15 * (MAX_DEPTH + 1)
 
 
 class TestBuiltinIntegrands:
