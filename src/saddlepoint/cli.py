@@ -176,6 +176,7 @@ def cmd_example(args) -> int:
             "example": example.name,
             "parameters": example.parameters,
             "coefficients": [_coefficient_cell(c) for c in example.coefficient_table],
+            "alpha_route_deviation": run.route_deviation,
             "terms": _terms_json(run.expansion.terms),
             "expansion_value": json_complex(point.value),
             "quadrature_value": json_complex(point.oracle.value),
@@ -195,6 +196,7 @@ def cmd_example(args) -> int:
         out.write("coefficient table:\n")
         for s, c in enumerate(example.coefficient_table):
             out.write(f"  {s:3d}  {_coefficient_cell(c)}\n")
+        out.write(f"alpha cross-route deviation: {run.route_deviation:.3e}\n")
         _print_term_table(run.expansion.terms, out)
         out.write(f"expansion value:  {fmt_complex(point.value)}\n")
         out.write(f"quadrature value: {_quadrature_line(point.oracle)}")

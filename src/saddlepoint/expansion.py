@@ -261,8 +261,8 @@ def alpha_bell(nf: SaddleNormalForm, q: TruncatedSeries,
     _require_resolved(nf, q, s_count)
     ratios = [-c for c in nf.phi.coeffs[1:s_count]]
     sums = bell_sums(q.coeffs, ratios, a, nf.mu, s_count)
-    out = tuple(_p0_power(nf.p0, _exponent(s, a, nf.mu)) * c / nf.mu
-                for s, c in enumerate(sums))
+    out = tuple([_p0_power(nf.p0, _exponent(s, a, nf.mu)) * c / nf.mu
+                 for s, c in enumerate(sums)])
     return AlphaSequence(a=a, alphas=out, mu=nf.mu, p0=nf.p0)
 
 

@@ -450,7 +450,7 @@ def parse_problem_text(text: str) -> Problem:
                            and 0 < x < math.inf for x in n_raw)):
             raise ProblemFileError(
                 "n_values must be a list of positive finite numbers", nline)
-        n_values = tuple(float(x) for x in n_raw)
+        n_values = tuple([float(x) for x in n_raw])
     if n_values and contour is None:
         raise ProblemFileError("n_values given without a contour", nline)
 

@@ -5,8 +5,10 @@ piece is integrated with an embedded 7/15-point Gauss-Kronrod pair
 under recursive bisection; the G/K discrepancy drives refinement and
 supplies the reported error estimate.
 
-For integrands carrying a multivalued factor (z - z0)^(a-1),
-``integrate_power_factor`` tracks arg(z - z0) continuously along the
+``integrate_power_factor`` integrates (z - z0)^(a-1) f(z).  For an
+integer a the weight is single-valued: it is the power (z - z0)**(a-1)
+folded into each node, and no branch is tracked.  Only a non-integer a
+makes it multivalued; then arg(z - z0) is tracked continuously along the
 contour starting from a declared initial branch angle.  Arcs centered
 at z0 contribute their exact analytic argument change, so winding any
 number of times around z0 is handled exactly; other pieces accumulate
@@ -61,7 +63,8 @@ class Segment:
 
     def point_velocity(self, t: float) -> tuple:
         """``(point(t), dz/dt)``."""
-        return self.start + (self.end - self.start) * t, self.end - self.start
+        velocity = self.end - self.start
+        return self.start + velocity * t, velocity
 
     @property
     def first(self) -> complex:
@@ -370,22 +373,37 @@ def integrate_power_factor(f: Callable[[complex], complex],
                            abs_tol: float = DEFAULT_ABS_TOL,
                            rel_tol: float = DEFAULT_REL_TOL,
                            max_depth: int = MAX_DEPTH) -> QuadratureResult:
-    """Integral of (z - z0)^(a-1) f(z) with a continuously tracked branch.
+    """Integral of (z - z0)^(a-1) f(z).
 
-    The branch starts at ``contour.initial_branch_angle`` (principal
-    arg of the starting point when unset) and follows the path by
-    continuity, so windings around z0 accumulate phase.  The contour
-    must stay away from z0, except for an integer a >= 1: there the
-    factor is the polynomial (z - z0)^(a-1), integrated as such, and
-    the contour may pass through z0.
+    For an integer a the weight is single-valued, the plain power
+    (z - z0)**(a-1), and no branch is tracked: ``initial_branch_angle``
+    has no effect.  For a >= 1 it is a polynomial and the contour may
+    pass through z0; for a <= 0, z0 is a pole the contour must avoid.
+    For a non-integer a the contour must avoid z0, and the branch starts
+    at ``contour.initial_branch_angle`` (principal arg of the starting
+    point when unset) and follows the path by continuity, so windings
+    around z0 accumulate phase.
     """
     aa = complex(a)
-    if aa.imag == 0.0 and aa.real >= 1.0 and aa.real.is_integer():
+    single_valued = aa.imag == 0.0 and aa.real.is_integer()
+    if not single_valued or aa.real < 1.0:
+        for piece in contour.pieces:
+            _reject_near_branch_point(piece, z0)
+    if single_valued:
         m = int(aa.real) - 1
-        return integrate(lambda z: (z - z0) ** m * f(z), contour,
-                         abs_tol, rel_tol, max_depth)
-    for piece in contour.pieces:
-        _reject_near_branch_point(piece, z0)
+
+        def make_power(piece: Piece):
+            point_velocity = piece.point_velocity
+
+            def g(t: float) -> complex:
+                z, v = point_velocity(t)
+                return (z - z0) ** m * f(z) * v
+
+            return g
+
+        return _integrate_parameterized(
+            [make_power(p) for p in contour.pieces], abs_tol, rel_tol, max_depth)
+
     if contour.initial_branch_angle is None:
         start = cmath.phase(contour.first - z0)
     else:

@@ -206,10 +206,13 @@ class TruncatedSeries:
     def __init__(self, base: complex, coeffs: Sequence[Scalar]):
         if len(coeffs) == 0:
             raise ValueError("a truncated series needs at least one coefficient")
+        # built from a list, not a generator: tuple(<generator>) resizes
+        # its result, so it never reuses a tuple from the free list yet
+        # fills the list when freed, which holds memory until a full gc
         if all(isinstance(c, (int, Fraction)) for c in coeffs):
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = tuple([Fraction(c) for c in coeffs])
         else:
-            coeffs = tuple(complex(c) for c in coeffs)
+            coeffs = tuple([complex(c) for c in coeffs])
         object.__setattr__(self, "base", complex(base))
         object.__setattr__(self, "coeffs", coeffs)
 

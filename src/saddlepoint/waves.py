@@ -245,7 +245,7 @@ def f_lambda_series(lam: Rat, order: int = 12) -> TruncatedSeries:
     ratio = (TruncatedSeries.identity(z0, order)
              * (_exp_series(2j * math.pi, order) - 1.0).recip() * -1j)
     c_head = ratio.coeffs[0]
-    unit = TruncatedSeries(z0, (1.0,) + tuple(c / c_head for c in ratio.coeffs[1:]))
+    unit = TruncatedSeries(z0, [1.0] + [c / c_head for c in ratio.coeffs[1:]])
     f = (unit.cpow(0.5) * cmath.sqrt(c_head)
          * _exp_series(-2j * math.pi * lam_c, order))
 

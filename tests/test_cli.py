@@ -89,6 +89,16 @@ class TestExample:
         assert payload["coefficients"][2] == "1/20"
         assert {"re", "im"} == set(payload["expansion_value"])
 
+    def test_route_deviation_reported(self, capsys):
+        # the Bell route loses center eps = 0.1 from s = 22; example reports
+        # the cross-route deviation in text and json, as expand does
+        argv = ["example", "center", "--eps", "0.1", "--terms", "40"]
+        _, text, _ = run(capsys, argv)
+        _, js, _ = run(capsys, argv + ["--format", "json"])
+        deviation = json.loads(js)["alpha_route_deviation"]
+        assert deviation > 1.0
+        assert f"alpha cross-route deviation: {deviation:.3e}\n" in text
+
     def test_tsv_format(self, capsys):
         code, out, _ = run(capsys, ["example", "parabolic", "--format", "tsv"])
         assert code == 0

@@ -168,6 +168,30 @@ class TestPowerFactor:
         assert r.converged
         assert abs(r.value - exact) < 1e-14
 
+    @pytest.mark.parametrize("a", [0, -1, -2])
+    def test_integer_a_is_the_explicit_weight(self, a):
+        # for integer a <= 0 the weight is the single-valued power, and
+        # the contour winds 1.5 times round the pole without a tracked arg
+        z0 = 0.3 + 0.2j
+        c = Contour([Segment(-2.0, z0 - 0.5), Arc(z0, 0.5, math.pi, 4 * math.pi),
+                     Segment(z0 + 0.5, 2.0)])
+
+        def f(z):
+            return cmath.exp(0.7j * z)
+
+        r = integrate_power_factor(f, a, z0, c)
+        ref = integrate(lambda z: (z - z0) ** (a - 1) * f(z), c)
+        assert r == ref
+
+    @pytest.mark.parametrize("a", [0, -1])
+    def test_integer_a_ignores_branch_angle(self, a):
+        z0 = 0.3 + 0.2j
+        pts = [-2.0, 1.0 + 1.5j, 2.0]
+        rs = [integrate_power_factor(lambda z: cmath.exp(0.7j * z), a, z0,
+                                     Contour.from_points(pts, angle))
+              for angle in (0.0, 6 * math.pi)]
+        assert rs[0] == rs[1]
+
     @pytest.mark.parametrize("a", [0, -1])
     def test_pole_on_contour_rejected(self, a):
         with pytest.raises(ValueError, match="branch point"):
@@ -258,11 +282,20 @@ def _reference_velocity(piece, t):
 
 
 def _reference_integrands(f, a, z0, contour):
-    """Per-piece integrands as built before the geometry was hoisted."""
+    """Per-piece integrands as built before the geometry was hoisted;
+    the weight is the plain power for integer a, else branch-tracked."""
     if a == 1:
         return [lambda t, piece=piece: f(piece.point(t)) * _reference_velocity(piece, t)
                 for piece in contour.pieces]
     aa = complex(a)
+    if aa.imag == 0.0 and aa.real.is_integer():
+        m = int(aa.real) - 1
+
+        def power(t, piece):
+            z = piece.point(t)
+            return (z - z0) ** m * f(z) * _reference_velocity(piece, t)
+
+        return [lambda t, piece=piece: power(t, piece) for piece in contour.pieces]
     if contour.initial_branch_angle is None:
         angle = cmath.phase(contour.first - z0)
     else:
@@ -292,7 +325,15 @@ def _reference_integrands(f, a, z0, contour):
 
 
 def _oracle_problem(name, n, **params):
-    """(f, a, z0, contour, rel_tol) of a built-in worked problem at N = n."""
+    """(f, a, z0, contour, rel_tol) of a built-in worked problem at N = n.
+
+    ``gamma_half`` is the gamma integrand under the non-integer weight
+    (z - 1)^(-1/2), a = 1/2, on a path that detours above z0 = 1.
+    """
+    if name == "gamma_half":
+        contour = Contour([Segment(0.05, 0.75), Arc(1.0, 0.25, math.pi, 0.0),
+                           Segment(1.25, 4.0)])
+        return builtin_integrand("gamma", n=n), 0.5, 1.0 + 0j, contour, 1e-11
     example = example_problem(name, n=n, **params)
     problem = example.problem
 
@@ -312,7 +353,7 @@ def _run_oracle(f, a, z0, contour, rel_tol):
 
 
 ORACLE_CASES = [("gamma", 200.0, {}), ("parabolic", 400.0, {}),
-                ("center", 400.0, {"eps": 0.4})]
+                ("center", 400.0, {"eps": 0.4}), ("gamma_half", 200.0, {})]
 
 
 class TestPanelMemo:

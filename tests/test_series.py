@@ -1,8 +1,10 @@
 """Series algebra and exact combinatorial kernels."""
 
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -410,6 +412,25 @@ class TestStructure:
         got = TruncatedSeries(0.0, [1] * 5).integral(0)
         assert got.coeffs == (0, 1, Fraction(1, 2), Fraction(1, 3),
                               Fraction(1, 4), Fraction(1, 5))
+
+    def test_dropped_series_hold_no_tuple_memory(self):
+        # a coefficient tuple that never comes from the tuple free list but
+        # is freed into it piles up there until the next full collection
+        coeffs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        was_enabled = gc.isenabled()
+        gc.collect()   # a full collection empties the free lists
+        gc.disable()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(10_000):
+                TruncatedSeries(0.0, coeffs)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert held < 64 * 1024
 
 
 class TestExactCoefficients:
