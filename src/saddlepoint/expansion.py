@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .saddle import SaddleNormalForm
-from .series import TruncatedSeries, _factorial, bell_hat_table
+from .series import TruncatedSeries, _factorial, bell_hat_table, power_rows
 
 __all__ = [
     "AlphaSequence",
@@ -220,28 +220,44 @@ def bell_sums(q: Sequence, ratios: Sequence, a: ExponentParam, mu: int,
     with ``ratios[i - 1]`` the normalized phase coefficient p_i/p0.
     Exact ``Fraction`` arithmetic when a, q[:s_count] and
     ratios[:s_count - 1] are all ints or Fractions, complex floating
-    point otherwise.  C(tau, j) comes from a running falling factorial,
-    with the same operations as :func:`series.binomial`.
+    point otherwise.
+
+    The exact sum is taken as c_s = sum_j C(tau_s, j) [x^s] q P^j, with
+    P(x) = sum_i ratios[i-1] x^i: :func:`series.power_rows` seeded with
+    q gives the gcd-reduced integer rows q P^j, each over its own
+    denominator.  With tau_s = T/M, M = mu a.den and
+    T = -(s a.den + a.num), an ascending Horner pass over j sums
+    F_j row_j[s] M^(s-j) s!/j!, F_j = prod_{k<j} (T - k M), in ints over
+    the lcm L_s of the denominators of rows 0..s, and c_s is one
+    ``Fraction`` over L_s M^s s!: O(s) integer operations per
+    coefficient where the table sum took O(s^2) ``Fraction`` ones, each
+    with a gcd.  The float sum runs over
+    :func:`series.bell_hat_table`, with C(tau, j) from a running
+    falling factorial, the same operations as :func:`series.binomial`.
     """
+    if s_count < 1:
+        return []
+    if len(q) < s_count:
+        raise ValueError(f"need amplitude coefficients q_0..q_{s_count - 1}, "
+                         f"got {len(q)}")
     i_max = s_count - 1
-    exact = all(isinstance(x, (int, Fraction))
-                for x in (a, *q[:s_count], *ratios[:i_max]))
-    num = Fraction if exact else complex
-    table = bell_hat_table(i_max, ratios) if s_count > 0 else []
+    if all(isinstance(x, (int, Fraction))
+           for x in (a, *q[:s_count], *ratios[:i_max])):
+        return _exact_bell_sums(q, ratios, Fraction(a), mu, s_count)
+    table = bell_hat_table(i_max, ratios)
     out = []
     for s in range(s_count):
-        e_s = _exponent(s, a, mu)
-        tau = -e_s if exact else -(complex(e_s))
-        binoms, falling = [], num(1)
+        tau = -(complex(_exponent(s, a, mu)))
+        binoms, falling = [], complex(1)
         for j in range(s + 1):
             binoms.append(falling / _factorial(j))
             falling = falling * (tau - j)
-        acc = num(0)
+        acc = complex(0)
         for i in range(s + 1):
             qc = q[s - i]
             if qc == 0:
                 continue
-            bsum = num(0)
+            bsum = complex(0)
             for j in range(i + 1):
                 b = table[i][j]
                 if b == 0:
@@ -249,6 +265,33 @@ def bell_sums(q: Sequence, ratios: Sequence, a: ExponentParam, mu: int,
                 bsum += binoms[j] * b
             acc += qc * bsum
         out.append(acc)
+    return out
+
+
+def _exact_bell_sums(q: Sequence, ratios: Sequence, a: Fraction, mu: int,
+                     s_count: int) -> list:
+    """:func:`bell_sums` on exact data: one ``Fraction`` per coefficient.
+
+    Each row of q P^j enters the sums of every s >= j as it is made, so
+    only one row is held: acc[s] is the ascending Horner sum over the lcm
+    of the row denominators so far, and c_j is complete after row j.
+    """
+    m = mu * a.denominator
+    t = [-(s * a.denominator + a.numerator) for s in range(s_count)]
+    acc = [0] * s_count
+    falling = [1] * s_count         # F_j for each s
+    common = 1                      # lcm of the row denominators so far
+    scale = 1                       # M^j j!
+    out = []
+    for j, (row, den) in enumerate(power_rows(q, ratios, s_count)):
+        lcm = math.lcm(common, den)
+        jm, k, common = j * m * (lcm // common), lcm // den, lcm
+        for s in range(j, s_count):
+            acc[s] = acc[s] * jm + falling[s] * (row[s] * k)
+            falling[s] *= t[s] - j * m
+        if j:
+            scale *= m * j
+        out.append(Fraction(acc[j], common * scale))
     return out
 
 

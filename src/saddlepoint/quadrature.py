@@ -387,8 +387,9 @@ def integrate_power_factor(f: Callable[[complex], complex],
     aa = complex(a)
     single_valued = aa.imag == 0.0 and aa.real.is_integer()
     if not single_valued or aa.real < 1.0:
+        kind = "pole" if single_valued else "branch point"
         for piece in contour.pieces:
-            _reject_near_branch_point(piece, z0)
+            _reject_near_z0(piece, z0, kind)
     if single_valued:
         m = int(aa.real) - 1
 
@@ -434,13 +435,14 @@ def integrate_power_factor(f: Callable[[complex], complex],
         [make(tr) for tr in trackers], abs_tol, rel_tol, max_depth)
 
 
-def _reject_near_branch_point(piece: Piece, z0: complex) -> None:
+def _reject_near_z0(piece: Piece, z0: complex, kind: str) -> None:
+    """Reject a piece within 1e-12 of z0, named ``kind`` in the error."""
     if isinstance(piece, Segment):
         d = _point_segment_distance(z0, piece.start, piece.end)
     else:
         d = _point_arc_distance(z0, piece)
     if d <= 1e-12:
-        raise ValueError("contour passes through the branch point z0")
+        raise ValueError(f"contour passes through the {kind} z0")
 
 
 def _point_arc_distance(p: complex, arc: Arc) -> float:

@@ -4,11 +4,15 @@ The combinatorial kernels (Bernoulli numbers, Stirling set numbers,
 partial ordinary Bell polynomials, generalized binomials) and the
 series-to-series operations of :class:`TruncatedSeries` are exact on
 ``int`` and ``Fraction`` data, so rational tables come out exact; any
-other data is double-precision ``complex``.  The exact Bell table
-scales its arguments by the lcm D of their denominators and multiplies
-plain ints, dividing power j by D^j once: one gcd per table entry
-rather than two per multiply-add (``bell_hat_table(80, ...)`` on the
-Stirling arguments is ~8x faster than ``Fraction`` convolution).
+other data is double-precision ``complex``.  One exact kernel,
+:func:`power_rows`, forms the truncated powers seed(x) P(x)^j of a
+rational series as plain ints over one denominator per power, divided
+after each multiply by the gcd of the denominator and the row, so the
+integers stay near the size of the true coefficients (denominators of
+at most 93 digits for the Stirling arguments to j = 80, where the
+common scale D^80 has 2775).  The exact Bell
+table is this kernel seeded with 1, and the exact Bell sums of
+``expansion`` seed it with the amplitude series.
 
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to use concurrently.
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Scalar = Union[int, float, complex, Fraction]
 
@@ -31,6 +35,7 @@ __all__ = [
     "binomial",
     "bell_hat",
     "bell_hat_table",
+    "power_rows",
 ]
 
 
@@ -125,55 +130,88 @@ def bell_hat_table(i_max: int, p: Sequence[Scalar]) -> list:
     """Table t with t[i][j] = B^_{i,j} for 0 <= j <= i <= i_max.
 
     Built by repeated truncated multiplication with the argument
-    series, which costs O(i_max^2) per power.  Exact for exact inputs:
-    the arguments are scaled by the lcm D of their denominators, the
-    powers are products of plain ints (zero arguments skipped), and
-    power j is divided by D^j once, as ``Fraction(power_j[i], D**j)``.
-    That costs one gcd per table entry instead of two per multiply-add,
-    on integers of up to ~i_max log10(D) digits.  Any other input runs
-    the same loop in complex floating point.
+    series, which costs O(i_max^2) per power.  Exact inputs run the
+    integer kernel :func:`power_rows` seeded with 1 and take one
+    ``Fraction`` per table entry, from the gcd-reduced row of power j
+    over its denominator.  Any other input runs the same multiplication
+    in complex floating point.
     """
     if i_max > 0 and len(p) < i_max:
         raise ValueError(f"need Bell arguments p_1..p_{i_max}, got {len(p)}")
     args = [p[k] for k in range(i_max)]
-    exact = all(isinstance(a, (int, Fraction)) for a in args)
-    if exact:
-        scale = math.lcm(*(a.denominator for a in args))
-        base = [0] + [a.numerator * (scale // a.denominator) for a in args]
+    if all(isinstance(a, (int, Fraction)) for a in args):
+        rows = list(power_rows([1], args, i_max + 1))
         zero = Fraction(0)
-    else:
-        base = [0.0 + 0.0j] + args
-        zero = base[0]
-    # the powers run on the type of base[0]: int when exact, else complex
-    terms = [(b, base[b]) for b in range(1, i_max + 1)
-             if base[b] != 0 or not exact]
-    upto = [0] * (i_max + 1)        # number of terms with b <= k
-    for b, _ in terms:
-        upto[b] = 1
-    for k in range(1, i_max + 1):
-        upto[k] += upto[k - 1]
+        return [[Fraction(row[i], den) if row[i] else zero for row, den in rows]
+                for i in range(i_max + 1)]
+    zero = 0.0 + 0.0j
+    terms = [(b, args[b - 1]) for b in range(1, i_max + 1)]
     table = [[zero] * (i_max + 1) for _ in range(i_max + 1)]
     table[0][0] = zero + 1
-    power = [base[0]] * (i_max + 1)
-    power[0] = base[0] + 1
-    denominator = 1
+    upto = list(range(i_max + 1))
+    power = [zero] * (i_max + 1)
+    power[0] = zero + 1
     for j in range(1, i_max + 1):
-        new = [base[0]] * (i_max + 1)
-        for a in range(j - 1, i_max):       # lowest term of power^(j-1) is x^(j-1)
-            pa = power[a]
-            if pa == 0:
-                continue
-            for b, pb in terms[:upto[i_max - a]]:
-                new[a + b] = new[a + b] + pa * pb
-        power = new
-        if exact:
-            denominator *= scale
-            for i in range(j, i_max + 1):
-                table[i][j] = Fraction(power[i], denominator)
-        else:
-            for i in range(j, i_max + 1):
-                table[i][j] = power[i]
+        power = _times_terms(power, terms, upto, j - 1, zero)
+        for i in range(j, i_max + 1):
+            table[i][j] = power[i]
     return table
+
+
+def power_rows(seed: Sequence[Scalar], args: Sequence[Scalar],
+               n: int) -> Iterator[tuple]:
+    """Exact truncated powers of the series P(x) = sum_k args[k-1] x^k.
+
+    Yields row j, for 0 <= j < n, as (ints, den) with
+    ints[i] / den = [x^i] seed(x) P(x)^j for 0 <= i < n; ``seed`` and
+    ``args[:n - 1]`` must be ints or Fractions.  The seed is scaled by
+    the lcm of its denominators and P by the lcm D of its own, so each
+    power is a product of plain ints (zero arguments skipped); after
+    each multiply the row and its denominator are divided by their gcd.
+    Costs O(n^2) integer multiply-adds per power.  A generator, so a
+    caller that folds each row in as it comes holds only one.
+    """
+    if n < 1:
+        return
+    if len(args) < n - 1:
+        raise ValueError(f"need power arguments p_1..p_{n - 1}, got {len(args)}")
+    args = args[:n - 1]
+    seed = seed[:n]
+    scale = math.lcm(*(a.denominator for a in args))
+    den = math.lcm(*(c.denominator for c in seed))
+    row = [c.numerator * (den // c.denominator) for c in seed]
+    row += [0] * (n - len(row))
+    terms = [(b, a.numerator * (scale // a.denominator))
+             for b, a in enumerate(args, 1) if a != 0]
+    upto = [0] * n          # number of terms with b <= k
+    for b, _ in terms:
+        upto[b] = 1
+    for k in range(1, n):
+        upto[k] += upto[k - 1]
+    yield row, den
+    for j in range(1, n):
+        row = _times_terms(row, terms, upto, j - 1, 0)
+        den *= scale
+        g = math.gcd(den, *row)
+        if g > 1:
+            den //= g
+            row = [x // g for x in row]
+        yield row, den
+
+
+def _times_terms(power: list, terms: list, upto: list, lo: int, zero) -> list:
+    """power(x) times sum_b pb x^b over (b, pb) in ``terms``, truncated to
+    len(power) entries; power vanishes below index ``lo`` and upto[k]
+    counts the terms with b <= k."""
+    top = len(power) - 1
+    new = [zero] * (top + 1)
+    for a in range(lo, top):
+        pa = power[a]
+        if pa == 0:
+            continue
+        for b, pb in terms[:upto[top - a]]:
+            new[a + b] = new[a + b] + pa * pb
+    return new
 
 
 # ----------------------------------------------------------------------

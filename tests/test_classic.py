@@ -11,9 +11,11 @@ from saddlepoint.classic import (agreement_digits,
                                  center_gamma, center_normal_form,
                                  center_q_coeffs, center_saddle,
                                  gamma_stirling, kepler_d_table,
-                                 parabolic_d_table, parabolic_q_table)
+                                 kepler_normal_form, parabolic_d_table,
+                                 parabolic_q_table)
+from saddlepoint.expansion import alpha_direct
 from saddlepoint.problemfile import example_problem, run_problem
-from saddlepoint.series import bernoulli
+from saddlepoint.series import TruncatedSeries, bernoulli
 
 # reference values for the worked integrals at N = 50 (12-digit
 # evaluations of the integrals themselves)
@@ -55,6 +57,27 @@ class TestExactTables:
         assert d[6] == Fraction(23, 12600)
         assert d[8] == Fraction(947, 5544000)
         assert all(d[s] == 0 for s in (1, 3, 5, 7))
+
+    @pytest.mark.parametrize("table, q_table, a", [
+        (kepler_d_table, lambda s_max: [1] + [0] * s_max, 1),
+        (parabolic_d_table, parabolic_q_table, -1)])
+    def test_sine_tables_to_index_80_against_direct_route(self, table, q_table, a):
+        # on the mu = 3 saddle of i(z - sin z),
+        # alpha_s = e^{pi i (s+a)/6} 6^{(s+a)/3} d(s) / 3; the direct route
+        # (Miller powering in floating point) shares no arithmetic with the
+        # exact Bell sums
+        s_max = 80
+        q = TruncatedSeries(0.0, [complex(x) for x in q_table(s_max)])
+        direct = alpha_direct(kepler_normal_form(s_max), q, a, s_max + 1).alphas
+        d = table(s_max)
+        assert len(d) == s_max + 1 and all(type(x) is Fraction for x in d)
+        for s, ds in enumerate(d):
+            if s % 2:
+                assert ds == 0, s
+                continue
+            want = (cmath.exp(1j * math.pi * (s + a) / 6)
+                    * 6.0 ** ((s + a) / 3) * float(ds) / 3)
+            assert ds != 0 and abs(direct[s] - want) <= 1e-12 * abs(want), s
 
     def test_stirling_against_exp_of_log_series_oracle(self):
         # N!/(sqrt(2 pi N) (N/e)^N) = exp(h(1/N)) with

@@ -11,7 +11,7 @@ import pytest
 
 from saddlepoint import classic, expansion
 from saddlepoint.series import (TruncatedSeries, bell_hat, bell_hat_table,
-                                bernoulli, binomial, stirling2)
+                                bernoulli, binomial, power_rows, stirling2)
 
 
 def random_series(rng, base=0.0, order=8, constant=None):
@@ -48,6 +48,21 @@ def reference_bell_table(i_max, p):
         for i in range(j, i_max + 1):
             table[i][j] = power[i]
     return table
+
+
+def reference_bell_sums(q, ratios, a, mu, s_count):
+    """The defining sum c_s = sum_i q_{s-i} sum_j C(-(s+a)/mu, j) B^_{i,j}
+    in ``Fraction`` arithmetic over :func:`reference_bell_table`."""
+    if s_count == 0:
+        return []
+    table = reference_bell_table(s_count - 1, ratios)
+    out = []
+    for s in range(s_count):
+        binoms = [binomial(-(Fraction(a) + s) / mu, j) for j in range(s + 1)]
+        out.append(sum((q[s - i] * binoms[j] * table[i][j]
+                        for i in range(s + 1) for j in range(i + 1)),
+                       Fraction(0)))
+    return out
 
 
 def assert_exact_table(table, want):
@@ -359,13 +374,58 @@ class TestBellHatTableExact:
             assert table[0][0] == 1
             assert all(x == 0 for row in table[1:] for x in row)
 
-    def test_kepler_and_parabolic_tables_match_reference(self, monkeypatch):
-        tables = (classic.kepler_d_table(40), classic.parabolic_d_table(40))
-        monkeypatch.setattr(expansion, "bell_hat_table", reference_bell_table)
-        for got, want in zip(tables, (classic.kepler_d_table(40),
-                                      classic.parabolic_d_table(40))):
-            assert got == want
+    def test_kepler_and_parabolic_tables_match_reference(self):
+        args = classic._sine_bell_args(40)
+        for got, q, a in ((classic.kepler_d_table(40), [1] + [0] * 40, 1),
+                          (classic.parabolic_d_table(40),
+                           classic.parabolic_q_table(40), -1)):
+            assert got == reference_bell_sums(q, args, a, 3, 41)
             assert all(type(x) is Fraction for x in got)
+
+    def test_bell_sums_match_defining_sum(self):
+        # the integer kernel against the defining triple sum, with zeros,
+        # integers and denominators up to 10^6 among q and the ratios
+        rng = random.Random(143)
+        exponents = (0, 1, -2, 3, Fraction(1, 3), Fraction(5, 2),
+                     Fraction(-7, 2), Fraction(-1, 6))
+        for trial in range(60):
+            s_count = 0 if trial == 0 else rng.randint(1, 30)
+            a = exponents[trial % len(exponents)]
+            mu = rng.randint(1, 4)
+            q = [self.random_argument(rng) for _ in range(s_count)]
+            ratios = [self.random_argument(rng)
+                      for _ in range(max(s_count - 1, 0))]
+            got = expansion.bell_sums(q, ratios, a, mu, s_count)
+            assert got == reference_bell_sums(q, ratios, a, mu, s_count)
+            assert len(got) == s_count
+            assert all(type(x) is Fraction for x in got)
+
+    def test_power_rows_are_reduced_products(self):
+        # row j is seed * P^j truncated, as ints over a denominator that
+        # shares no factor with all of them
+        rng = random.Random(144)
+        for _ in range(20):
+            n = rng.randint(1, 20)
+            seed = [self.random_argument(rng) for _ in range(rng.randint(0, n))]
+            args = [self.random_argument(rng) for _ in range(n - 1)]
+            want = [Fraction(c) for c in seed] + [Fraction(0)] * (n - len(seed))
+            for j, (row, den) in enumerate(power_rows(seed, args, n)):
+                assert [Fraction(x, den) for x in row] == want, j
+                assert math.gcd(den, *row) == 1
+                want = [sum((want[i - b] * args[b - 1] for b in range(1, i + 1)),
+                            Fraction(0)) for i in range(n)]
+        assert list(power_rows([1], [], 0)) == []
+
+    def test_bell_sums_of_no_terms(self):
+        assert expansion.bell_sums([], [], 1, 2, 0) == []
+        # with s_count = 0, ratios[:s_count - 1] is all but the last ratio
+        assert expansion.bell_sums([1, 2], [Fraction(1, 2), 0.5j], 1, 2, 0) == []
+
+    def test_bell_sums_reject_short_amplitude(self):
+        # a missing q_s must not be read as zero
+        for q in ([1], [1.0 + 0j]):
+            with pytest.raises(ValueError, match="amplitude"):
+                expansion.bell_sums(q, [Fraction(1, 2)], 1, 2, 2)
 
     def test_complex_input_matches_reference_bit_for_bit(self):
         rng = random.Random(142)
