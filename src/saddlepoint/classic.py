@@ -3,7 +3,10 @@
 Each worked problem supplies its saddle normal form, amplitude series,
 validation contour and exact rational coefficient table; the problem
 registry in :mod:`saddlepoint.problemfile` assembles them into
-``Problem`` values that run through the one expansion pipeline:
+``Problem`` values that run through the one expansion pipeline.  Each
+phase and amplitude is written once, as ``f(z, m=cmath)``: the oracle
+integrates f itself, and :func:`taylor` gives its Taylor data (exact
+when the saddle and the constants are rational):
 
 * gamma      - int e^{N(-z + log z)} dz near z = 1, the factorial
   asymptotics; coefficients are the Stirling correction rationals
@@ -24,15 +27,26 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
+from functools import lru_cache
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+from . import series
 from .expansion import bell_sums
 from .quadrature import Arc, Contour, Segment
-from .saddle import SaddleNormalForm
+from .saddle import SaddleNormalForm, normalize
 from .series import TruncatedSeries
 
 __all__ = [
+    "taylor",
+    "normal_form",
+    "gamma_phase",
+    "sine_phase",
+    "kepler_phase",
+    "center_phase",
+    "center_amplitude",
+    "parabolic_amplitude",
     "agreement_digits",
     "gamma_stirling",
     "gamma_normal_form",
@@ -76,13 +90,38 @@ def agreement_digits(value: complex, reference: complex) -> int:
     return math.floor(-math.log10(rel))
 
 
+def taylor(f: Callable, z0: complex, order: int) -> TruncatedSeries:
+    """Taylor series of f(z, m) about z0 to ``order``: f(identity, series).
+
+    Exact when z0 and the constants of f are rational.  f runs two
+    orders higher, for a division that cancels a double zero at z0.
+    """
+    value = f(TruncatedSeries.identity(z0, order + 2), series)
+    if not isinstance(value, TruncatedSeries):      # a constant
+        return TruncatedSeries.constant(value, z0, order)
+    return value.truncate(order)
+
+
+def normal_form(phase: Callable, z0: complex, order: int) -> SaddleNormalForm:
+    """``normalize`` of the :func:`taylor` series, phi to ``order``."""
+    nf = normalize(taylor(phase, z0, order + 3))     # mu <= 3
+    return replace(nf, phi=nf.phi.truncate(order))
+
+
+@lru_cache(maxsize=32)
+def _ratios(phase: Callable, z0: complex, count: int) -> tuple:
+    """The exact p_i/p0 = -phi_i, i = 1..count, of a phase definition at a
+    rational z0, as ``bell_sums`` takes them; constants of the definition,
+    so computed once per session."""
+    return tuple([-c for c in normal_form(phase, z0, count).phi.coeffs[1:]])
+
+
 # ----------------------------------------------------------------------
 # Factorial / Stirling-series problem
 # ----------------------------------------------------------------------
 
-def _gamma_bell_args(i_max: int) -> list:
-    """Normalized phase ratios (-1)^i 2/(i+2) of -z + log z at z = 1."""
-    return [Fraction(2 * (-1) ** i, i + 2) for i in range(1, i_max + 1)]
+def gamma_phase(z, m=cmath):
+    return -z + m.log(z)
 
 
 def gamma_stirling(m_max: int) -> list:
@@ -93,7 +132,7 @@ def gamma_stirling(m_max: int) -> list:
     """
     if m_max < 1:
         raise ValueError("need m_max >= 1")
-    sums = bell_sums([1] + [0] * (2 * m_max), _gamma_bell_args(2 * m_max),
+    sums = bell_sums([1] + [0] * (2 * m_max), _ratios(gamma_phase, 1, 2 * m_max),
                      1, 2, 2 * m_max + 1)
     return [Fraction(math.factorial(2 * m), math.factorial(m) * 2 ** m)
             * sums[2 * m] for m in range(1, m_max + 1)]
@@ -101,9 +140,7 @@ def gamma_stirling(m_max: int) -> list:
 
 def gamma_normal_form(order: int) -> SaddleNormalForm:
     """Normal form of -z + log z at z0 = 1: mu = 2, p0 = 1/2."""
-    phi = [0.0 + 0.0j] + [complex(-r) for r in _gamma_bell_args(order)]
-    return SaddleNormalForm(z0=1.0, p_at_z0=-1.0, mu=2, p0=0.5,
-                            omega0=0.0, phi=TruncatedSeries(1.0, phi))
+    return normal_form(gamma_phase, 1.0, order)
 
 
 def gamma_contour() -> Contour:
@@ -116,10 +153,13 @@ def gamma_contour() -> Contour:
 # Oscillatory Kepler problem, mu = 3
 # ----------------------------------------------------------------------
 
-def _sine_bell_args(i_max: int) -> list:
-    """Ratios p_i/p0 = 6 (-1)^{i/2}/(i+3)! of i(z - sin z) at 0 (0 for odd i)."""
-    return [Fraction(6 * (-1) ** (i // 2), math.factorial(i + 3)) if i % 2 == 0
-            else Fraction(0) for i in range(1, i_max + 1)]
+def sine_phase(z, m=cmath):
+    """z - sin z: the Kepler phase over i, with its ratios p_i/p0 exact."""
+    return z - m.sin(z)
+
+
+def kepler_phase(z, m=cmath):
+    return 1j * sine_phase(z, m)
 
 
 def kepler_d_table(s_max: int) -> list:
@@ -129,15 +169,13 @@ def kepler_d_table(s_max: int) -> list:
     (2/3) sum_s cos(pi (s+1)/6) Gamma((s+1)/3) d(s) (6/N)^{(s+1)/3};
     d(s) = 0 for odd s.
     """
-    return bell_sums([1] + [0] * s_max, _sine_bell_args(s_max), 1, 3, s_max + 1)
+    return bell_sums([1] + [0] * s_max, _ratios(sine_phase, 0, s_max), 1, 3,
+                     s_max + 1)
 
 
 def kepler_normal_form(order: int) -> SaddleNormalForm:
     """Normal form of i(z - sin z) at 0: mu = 3, p0 = -i/6."""
-    phi = [0.0 + 0.0j] + [complex(-r) for r in _sine_bell_args(order)]
-    return SaddleNormalForm(z0=0.0, p_at_z0=0.0, mu=3, p0=-1j / 6.0,
-                            omega0=-math.pi / 2.0,
-                            phi=TruncatedSeries(0.0, phi))
+    return normal_form(kepler_phase, 0.0, order)
 
 
 def kepler_contour() -> Contour:
@@ -163,39 +201,33 @@ def center_saddle(eps: float) -> complex:
     return 1j * math.log(center_gamma(eps))
 
 
-def center_q_coeffs(eps: float, s_max: int) -> list:
-    """Taylor coefficients q_0..q_{s_max} at z0 = i log gamma of
-    q(z) = (z - z0)/(1 - eps cos z).
+def center_phase(eps: float) -> Callable:
+    return lambda z, m=cmath: 1j * (z - eps * m.sin(z))
+
+
+def center_amplitude(eps: float) -> Callable:
+    """q(z) = (z - z0)/(1 - eps cos z) about its zero z0 = i log gamma.
 
     cos z0 = 1/eps and sin z0 = i sqrt(1 - eps^2)/eps, so with h = z - z0
-    the denominator is 1 - cos h + i sqrt(1 - eps^2) sin h, and q is the
-    series reciprocal of that denominator divided by h.
+    q = h/(1 - cos h + i sqrt(1 - eps^2) sin h): the zero at h = 0 is
+    exact, where 1 - eps cos z0 rounds to ~1e-16 and costs q a digit.
     """
-    z0 = center_saddle(eps)     # validates the eccentricity range
-    w = math.sqrt(1.0 - eps * eps)
-    den_over_h = [(-1) ** (k // 2) * (1j * w if k % 2 else -1.0)
-                  / math.factorial(k) for k in range(1, s_max + 2)]
-    return list(TruncatedSeries(z0, den_over_h).recip().coeffs)
+    z0, iw = center_saddle(eps), 1j * math.sqrt(1.0 - eps * eps)
+
+    def amplitude(z, m=cmath):
+        h = z - z0
+        return h / (1 - m.cos(h) + iw * m.sin(h))
+    return amplitude
+
+
+def center_q_coeffs(eps: float, s_max: int) -> list:
+    """Taylor coefficients q_0..q_{s_max} of the center amplitude at z0."""
+    return list(taylor(center_amplitude(eps), center_saddle(eps), s_max).coeffs)
 
 
 def center_normal_form(eps: float, order: int) -> SaddleNormalForm:
-    """Normal form of i(z - eps sin z) at i log gamma: mu = 2.
-
-    p0 = sqrt(1 - eps^2)/2 and the phase ratios are
-    p_s/p0 = 2 i^s/(s+2)! times (1 for even s, -1/sqrt(1-eps^2) odd).
-    """
-    gam = center_gamma(eps)     # validates the eccentricity range
-    w = math.sqrt(1.0 - eps * eps)
-    z0 = center_saddle(eps)
-    phi = [0.0 + 0.0j]
-    for s in range(1, order + 1):
-        ratio = 2.0 * (1j) ** s / math.factorial(s + 2)
-        if s % 2 == 1:
-            ratio = ratio * (-1.0 / w)
-        phi.append(-ratio)
-    return SaddleNormalForm(z0=z0, p_at_z0=complex(w - math.log(gam)),
-                            mu=2, p0=complex(w / 2.0), omega0=0.0,
-                            phi=TruncatedSeries(z0, phi))
+    """Normal form of i(z - eps sin z) at i log gamma: mu = 2."""
+    return normal_form(center_phase(eps), center_saddle(eps), order)
 
 
 def center_d_values(eps: float, s_max: int) -> list:
@@ -263,15 +295,14 @@ def center_fs_polynomial(s: int, sample_eps: Optional[Sequence[float]] = None):
 # Parabolic limit eps = 1, double pole at the saddle (a = -1)
 # ----------------------------------------------------------------------
 
-def parabolic_q_table(s_max: int) -> list:
-    """Exact Taylor coefficients q_0..q_{s_max} of z^2/(1 - cos z).
+def parabolic_amplitude(z, m=cmath):
+    return z * z / (1 - m.cos(z))
 
-    The exact series reciprocal of (1 - cos z)/z^2 =
-    sum_k (-1)^k z^{2k}/(2k+2)!; q_s = 0 for odd s.
-    """
-    den = [Fraction((-1) ** (s // 2), math.factorial(s + 2)) if s % 2 == 0 else 0
-           for s in range(s_max + 1)]
-    return list(TruncatedSeries(0.0, den).recip().coeffs)
+
+def parabolic_q_table(s_max: int) -> list:
+    """Exact Taylor coefficients q_0..q_{s_max} of z^2/(1 - cos z); the
+    float series drifts, to 5e-13 relative by order 84."""
+    return list(taylor(parabolic_amplitude, 0, s_max).coeffs)
 
 
 def parabolic_d_table(s_max: int) -> list:
@@ -280,7 +311,7 @@ def parabolic_d_table(s_max: int) -> list:
     d*(s) = sum_i q_{s-i} sum_j C(-(s-1)/3, j) B^_{i,j}(0, -3!/5!, ...),
     zero for odd s.
     """
-    return bell_sums(parabolic_q_table(s_max), _sine_bell_args(s_max), -1, 3,
+    return bell_sums(parabolic_q_table(s_max), _ratios(sine_phase, 0, s_max), -1, 3,
                      s_max + 1)
 
 

@@ -32,8 +32,9 @@ comments and blank lines ignored.  Keys, one line each, no repeats:
 Coefficient lists must resolve the requested order: the phase needs
 mu + S - 1 coefficients past the constant and the amplitude S - 1.
 When validating on a contour, coefficient-list inputs are integrated
-as the polynomials they literally define, while builtin names supply
-the genuine transcendental functions.
+as the polynomials they literally define, while a builtin name stands
+for one definition of :mod:`saddlepoint.classic` that gives both its
+Taylor data and the transcendental function the oracle integrates.
 """
 
 from __future__ import annotations
@@ -43,13 +44,15 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .classic import (agreement_digits, center_contour, center_d_values,
-                      center_normal_form, center_q_coeffs, center_saddle,
-                      gamma_contour, gamma_normal_form, gamma_stirling,
-                      kepler_contour, kepler_d_table, kepler_normal_form,
-                      parabolic_contour, parabolic_d_table, parabolic_q_table)
+from .classic import (agreement_digits, center_amplitude, center_contour,
+                      center_d_values, center_phase, center_saddle,
+                      gamma_contour, gamma_phase, gamma_stirling,
+                      kepler_contour, kepler_d_table, kepler_phase,
+                      normal_form, parabolic_amplitude, parabolic_contour,
+                      parabolic_d_table, taylor)
 from .expansion import (AsymptoticExpansion, BranchSpec, CirclePath, Endpoint,
                         EvenOpposite, ExponentParam, Through, alpha_bell,
                         alpha_direct, assemble)
@@ -100,8 +103,26 @@ def _coeff_list(value, key: str, line: int) -> list:
     return [_as_complex(item, f"{key}[{i}]", line) for i, item in enumerate(value)]
 
 
-_PHASE_BUILTINS = {"gamma", "kepler", "center", "parabolic"}
-_AMPLITUDE_BUILTINS = {"one", "center", "parabolic"}
+def _one(z, m=cmath):
+    return 1.0 + 0.0j
+
+
+#: builtin kind -> name -> eps -> (definition f(z, m=cmath), expansion
+#: point, None for the phase's); the parabolic amplitude expands at the
+#: exact 0 and is rounded once, since its float series drifts
+_BUILTINS = {
+    "phase": {
+        "gamma": lambda eps: (gamma_phase, 1.0),
+        "kepler": lambda eps: (kepler_phase, 0.0),
+        "parabolic": lambda eps: (kepler_phase, 0.0),
+        "center": lambda eps: (center_phase(eps), center_saddle(eps)),
+    },
+    "amplitude": {
+        "one": lambda eps: (_one, None),
+        "center": lambda eps: (center_amplitude(eps), center_saddle(eps)),
+        "parabolic": lambda eps: (parabolic_amplitude, 0),
+    },
+}
 
 
 def _eccentricity(eps, what: str, line: Optional[int]) -> float:
@@ -137,42 +158,27 @@ def _builtin_order(spec: dict, order: int, what: str, line: int) -> int:
     return max(own, order + 2)
 
 
-def _phase_builtin(name: str, order: int, eps, line: Optional[int]):
-    if name == "gamma":
-        nf = gamma_normal_form(order)
-        return nf, (lambda z: -z + cmath.log(z))
-    if name in ("kepler", "parabolic"):
-        nf = kepler_normal_form(order)
-        return nf, (lambda z: 1j * (z - cmath.sin(z)))
-    if name == "center":
-        eps = _eccentricity(eps, "builtin phase 'center'", line)
-        nf = center_normal_form(eps, order)
-        return nf, (lambda z: 1j * (z - eps * cmath.sin(z)))
-    raise ProblemFileError(
-        f"unknown phase builtin {name!r}; choose from {sorted(_PHASE_BUILTINS)}", line)
+def _builtin(kind: str, name: str, order: int, eps, z0, line: Optional[int]):
+    """(normal form or amplitude series to ``order``, oracle callable) of
+    the ``kind`` builtin ``name``; ``z0`` is the phase's expansion point."""
+    table = _BUILTINS[kind]
+    if name not in table:
+        raise ProblemFileError(
+            f"unknown {kind} builtin {name!r}; choose from {sorted(table)}", line)
+    eps = (_eccentricity(eps, f"builtin {kind} 'center'", line)
+           if name == "center" else None)
+    return _builtin_data(kind, name, order, eps, z0)
 
 
-def _amplitude_builtin(name: str, order: int, eps, z0: complex,
-                       line: Optional[int]):
-    if name == "one":
-        return (TruncatedSeries.constant(1.0, z0, order), (lambda z: 1.0 + 0.0j))
-    if name == "center":
-        eps = _eccentricity(eps, "builtin amplitude 'center'", line)
-        coeffs = center_q_coeffs(eps, order)
-        zc = center_saddle(eps)
-
-        def q_center(z: complex) -> complex:
-            return (z - zc) / (1.0 - eps * cmath.cos(z))
-        return TruncatedSeries(zc, coeffs), q_center
-    if name == "parabolic":
-        coeffs = [complex(x) for x in parabolic_q_table(order)]
-
-        def q_parabolic(z: complex) -> complex:
-            return z * z / (1.0 - cmath.cos(z))
-        return TruncatedSeries(0.0, coeffs), q_parabolic
-    raise ProblemFileError(
-        f"unknown amplitude builtin {name!r}; choose from {sorted(_AMPLITUDE_BUILTINS)}",
-        line)
+@lru_cache(maxsize=128)
+def _builtin_data(kind: str, name: str, order: int, eps, z0):
+    """The Taylor data and callable of a valid builtin.  They depend on
+    these arguments alone and are immutable, so a session that parses the
+    same builtin again (at other N, say) reuses them."""
+    f, point = _BUILTINS[kind][name](eps)
+    if kind == "phase":
+        return normal_form(f, point, order), f
+    return taylor(f, z0 if point is None else point, order) * 1.0, f
 
 
 class _Worked(NamedTuple):
@@ -232,9 +238,9 @@ def example_problem(name: str, n: float = 50.0, eps: float = 0.4,
     if not math.isfinite(n):
         raise ProblemFileError(f"expansion parameter N must be finite, not {n}")
     order = entry.order(terms)
-    nf, p_callable = _phase_builtin(entry.phase, order + 2, eps, None)
-    q, q_callable = _amplitude_builtin(entry.amplitude, order + 2, eps,
-                                       nf.z0, None)
+    nf, p_callable = _builtin("phase", entry.phase, order + 2, eps, None, None)
+    q, q_callable = _builtin("amplitude", entry.amplitude, order + 2, eps,
+                             nf.z0, None)
     problem = Problem(nf, q, entry.a, entry.branch, order, p_callable,
                       q_callable, entry.contour(eps), (n,))
     parameters = ({"n": n, "eps": eps, "terms": terms} if entry.phase == "center"
@@ -381,9 +387,9 @@ def parse_problem_text(text: str) -> Problem:
     if isinstance(p_raw, dict):
         name = _builtin_name(p_raw, "builtin phase", pline)
         eps_for_builtin = p_raw.get("eps")
-        nf, p_callable = _phase_builtin(
-            name, _builtin_order(p_raw, order, "builtin phase", pline),
-            eps_for_builtin, pline)
+        nf, p_callable = _builtin(
+            "phase", name, _builtin_order(p_raw, order, "builtin phase", pline),
+            eps_for_builtin, None, pline)
         if z0 is not None and abs(z0 - nf.z0) > 1e-9:
             raise ProblemFileError(
                 f"z0 = {z0} conflicts with builtin expansion point {nf.z0}", z0line)
@@ -401,12 +407,11 @@ def parse_problem_text(text: str) -> Problem:
 
     q_raw, qline = entries.take("q")
     if q_raw is None:
-        q = TruncatedSeries.constant(1.0, nf.z0, order + 2)
-        q_callable = lambda z: 1.0 + 0.0j  # noqa: E731
+        q, q_callable = taylor(_one, nf.z0, order + 2), _one
     elif isinstance(q_raw, dict):
         name = _builtin_name(q_raw, "builtin amplitude", qline)
-        q, q_callable = _amplitude_builtin(
-            name, _builtin_order(q_raw, order, "builtin amplitude", qline),
+        q, q_callable = _builtin(
+            "amplitude", name, _builtin_order(q_raw, order, "builtin amplitude", qline),
             q_raw.get("eps", eps_for_builtin), nf.z0, qline)
         if abs(q.base - nf.z0) > 1e-9:
             raise ProblemFileError(
@@ -497,11 +502,14 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
     the largest |alpha| in place of a zero |bell_s|.  The oracle takes
     the (z - z0)^(a-1) factor of ``integrate_power_factor`` when a != 1
     (branch-tracked unless a is an integer).  A branch variant that
-    does not fit the saddle raises ``ValueError``.
+    does not fit the saddle raises ``ValueError``; a coefficient that
+    overflows double precision on either route raises ``OverflowError``.
     """
     nf = problem.normal_form
     alphas = alpha_bell(nf, problem.q, problem.a, problem.order)
     cross = alpha_direct(nf, problem.q, problem.a, problem.order)
+    if not all(cmath.isfinite(x) for x in alphas.alphas + cross.alphas):
+        raise OverflowError("an expansion coefficient alpha_s is not finite")
     scale = max(abs(x) for x in alphas.alphas) or 1.0
     route_dev = max(abs(x - y) / (abs(x) if x != 0 else scale)
                     for x, y in zip(alphas.alphas, cross.alphas))

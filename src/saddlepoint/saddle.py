@@ -101,8 +101,10 @@ def normalize(p: TruncatedSeries) -> SaddleNormalForm:
 
     mu is the smallest index >= 1 whose coefficient survives the
     relative threshold MU_DETECTION_RTOL; p0 is minus that coefficient
-    and phi collects the higher ones: phi_j = coeff(mu + j) / p0.
-    Raises if every non-constant coefficient is below threshold.
+    and phi collects the higher ones: phi_j = coeff(mu + j) / p0.  An
+    exact series gives an exact normal form: p(z0), p0 and phi stay
+    ``Fraction``.  Raises if every non-constant coefficient is below
+    threshold.
     """
     tail = p.coeffs[1:]
     scale = max((abs(c) for c in tail), default=0.0)
@@ -116,8 +118,8 @@ def normalize(p: TruncatedSeries) -> SaddleNormalForm:
     if mu is None:
         raise ValueError("phase series is degenerate: no coefficient "
                          "above the detection threshold")
-    p0 = -p.coeffs[mu]
-    phi_coeffs = [0.0 + 0.0j]
+    p0 = 0 - p.coeffs[mu]      # not -c: omega0 of a real p0 > 0 is 0, not -0
+    phi_coeffs = [0]
     for j in range(1, p.order - mu + 1):
         phi_coeffs.append(p.coeffs[mu + j] / p0)
     return SaddleNormalForm(

@@ -130,6 +130,18 @@ def check_cpow_addition():
     return f"max deviation {worst:.3g}"
 
 
+def check_series_functions():
+    # f = z/2 - z^2/3 + z^3, f(0) = 0: exact identities to order 20
+    f = series.TruncatedSeries(0, [0, Fraction(1, 2), Fraction(-1, 3), 1] + [0] * 17)
+    s, c = series.sin(f), series.cos(f)
+    for name, lhs, rhs in (("sin^2 + cos^2", s * s + c * c, f * 0 + 1),
+                           ("exp(log(1 + f))", series.exp(series.log(1 + f)), 1 + f),
+                           ("log(exp(f))", series.log(series.exp(f)), f)):
+        if lhs.coeffs != rhs.coeffs or type(lhs.coeffs[-1]) is not Fraction:
+            raise AssertionError(f"{name} is not exact to order 20")
+    return "sin^2 + cos^2 = 1, exp(log(1 + f)) = 1 + f, log(exp(f)) = f exact"
+
+
 def _random_instance(rng, mu, order):
     z0 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
     coeffs = [0.0] * (mu) + [
@@ -354,6 +366,7 @@ CHECKS = (
     ("bell-polynomial-forms", check_bell_two_forms),
     ("series-ring-laws", check_ring_laws),
     ("series-cpow-addition", check_cpow_addition),
+    ("series-functions", check_series_functions),
     ("alpha-route-agreement", check_alpha_routes_agree),
     ("stirling-table", check_stirling_table),
     ("kepler-table", check_kepler_table),

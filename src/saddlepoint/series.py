@@ -1,17 +1,21 @@
 """Truncated power series and the exact combinatorial kernels.
 
 The combinatorial kernels (Bernoulli numbers, Stirling set numbers,
-partial ordinary Bell polynomials, generalized binomials) and the
-series-to-series operations of :class:`TruncatedSeries` are exact on
-``int`` and ``Fraction`` data, so rational tables come out exact; any
-other data is double-precision ``complex``.  One exact kernel,
-:func:`power_rows`, forms the truncated powers seed(x) P(x)^j of a
-rational series as plain ints over one denominator per power, divided
-after each multiply by the gcd of the denominator and the row, so the
-integers stay near the size of the true coefficients (denominators of
-at most 93 digits for the Stirling arguments to j = 80, where the
-common scale D^80 has 2775).  The exact Bell
-table is this kernel seeded with 1, and the exact Bell sums of
+partial ordinary Bell polynomials, generalized binomials), the
+arithmetic of :class:`TruncatedSeries` and the elementary functions
+:func:`exp`, :func:`log`, :func:`sin` and :func:`cos` of a series are
+exact on ``int`` and ``Fraction`` data, so rational tables come out
+exact; any other data is double-precision ``complex``.  A formula
+``f(z, m)`` over these cmath names gives its Taylor series about z0 as
+``f(TruncatedSeries.identity(z0, order), series)`` (Taylor-mode
+evaluation: Griewank & Walther, *Evaluating Derivatives*, SIAM 2008,
+ch. 13).  One exact kernel, :func:`power_rows`, forms the truncated
+powers seed(x) P(x)^j of a rational series as plain ints over one
+denominator per power, divided after each multiply by the gcd of the
+denominator and the row, so the integers stay near the size of the
+true coefficients (denominators of at most 93 digits for the Stirling
+arguments to j = 80, where the common scale D^80 has 2775).  The exact
+Bell table is this kernel seeded with 1, and the exact Bell sums of
 ``expansion`` seed it with the amplitude series.
 
 All values are immutable after construction and every operation is a
@@ -20,6 +24,7 @@ pure function, so everything here is safe to use concurrently.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +41,10 @@ __all__ = [
     "bell_hat",
     "bell_hat_table",
     "power_rows",
+    "exp",
+    "log",
+    "sin",
+    "cos",
 ]
 
 
@@ -58,7 +67,7 @@ def bernoulli(m: int) -> Fraction:
         return Fraction(0)
     acc = Fraction(0)
     for k in range(m):
-        acc += _int_binomial(m + 1, k) * bernoulli(k)
+        acc += math.comb(m + 1, k) * bernoulli(k)
     return -acc / (m + 1)
 
 
@@ -72,15 +81,6 @@ def stirling2(m: int, j: int) -> int:
     if m == 0 or j == 0 or j > m:
         return 0
     return j * stirling2(m - 1, j) + stirling2(m - 1, j - 1)
-
-
-def _int_binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def binomial(tau: Scalar, j: int) -> Scalar:
@@ -232,10 +232,12 @@ class TruncatedSeries:
 
     The coefficients are all ``Fraction`` when every given one is an
     ``int`` or ``Fraction``, and all ``complex`` otherwise.  +, -, *, /,
-    ``recip``, ``differentiate``, ``integral``, ``truncate`` and
-    ``shift_down`` keep exact series exact; a scalar operand,
-    ``constant``, ``identity``, ``cpow`` and evaluation work in floating
-    point.
+    ``recip``, ``differentiate``, ``integral``, ``truncate``,
+    ``shift_down`` and an ``int`` or ``Fraction`` scalar operand keep
+    exact series exact, as does ``identity`` about an exact base; any
+    other scalar, ``constant``, ``cpow`` and evaluation work in floating
+    point.  Division first cancels the m orders of a zero that both
+    series share exactly at the base, and so returns m orders fewer.
     """
 
     base: complex
@@ -248,7 +250,8 @@ class TruncatedSeries:
         # its result, so it never reuses a tuple from the free list yet
         # fills the list when freed, which holds memory until a full gc
         if all(isinstance(c, (int, Fraction)) for c in coeffs):
-            coeffs = tuple([Fraction(c) for c in coeffs])
+            coeffs = tuple([c if type(c) is Fraction else Fraction(c)
+                            for c in coeffs])
         else:
             coeffs = tuple([complex(c) for c in coeffs])
         object.__setattr__(self, "base", complex(base))
@@ -269,7 +272,7 @@ class TruncatedSeries:
         """The series of z itself about ``base``: base + (z - base)."""
         if order < 1:
             raise ValueError("identity series needs order >= 1")
-        return TruncatedSeries(base, [complex(base), 1.0] + [0.0] * (order - 1))
+        return TruncatedSeries(base, [_scalar(base), 1] + [0] * (order - 1))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -294,7 +297,7 @@ class TruncatedSeries:
     def __add__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             c = list(self.coeffs)
-            c[0] += complex(other)
+            c[0] += _scalar(other)
             return TruncatedSeries(self.base, c)
         self._check_base(other)
         n = min(self.order, other.order)
@@ -307,32 +310,55 @@ class TruncatedSeries:
         return TruncatedSeries(self.base, [-c for c in self.coeffs])
 
     def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-other if isinstance(other, TruncatedSeries) else -complex(other))
+        return self + (-other if isinstance(other, TruncatedSeries) else -_scalar(other))
 
     def __rsub__(self, other) -> "TruncatedSeries":
-        return (-self) + complex(other)
+        return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            w = complex(other)
+            w = _scalar(other)
             return TruncatedSeries(self.base, [c * w for c in self.coeffs])
         self._check_base(other)
         n = min(self.order, other.order)
+        f, g, den = self.coeffs[:n + 1], other.coeffs[:n + 1], 0
+        if type(f[0]) is Fraction and type(g[0]) is Fraction:
+            # exact: each factor as ints over the lcm of its denominators
+            df = math.lcm(*(c.denominator for c in f))
+            dg = math.lcm(*(c.denominator for c in g))
+            f = [c.numerator * (df // c.denominator) for c in f]
+            g = [c.numerator * (dg // c.denominator) for c in g]
+            den = df * dg
         out = [0] * (n + 1)
         for a in range(n + 1):
-            ca = self.coeffs[a]
+            ca = f[a]
             if ca == 0:
                 continue
             for b in range(n + 1 - a):
-                out[a + b] += ca * other.coeffs[b]
-        return TruncatedSeries(self.base, out)
+                out[a + b] += ca * g[b]
+        return TruncatedSeries(self.base, [Fraction(x, den) for x in out] if den else out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return self * other.recip()
-        return self * (1.0 / complex(other))
+        if not isinstance(other, TruncatedSeries):
+            return self * (Fraction(1) / _scalar(other))
+        self._check_base(other)
+        m, n = 0, min(self.order, other.order)
+        while m < n and self.coeffs[m] == 0 and other.coeffs[m] == 0:
+            m += 1
+        b = other.coeffs[m:n + 1]
+        if b[0] == 0:
+            raise ValueError("cannot divide by a series with zero constant term")
+        terms = [(i, c) for i, c in enumerate(b[1:], 1) if c != 0]
+        out = []        # q_k = (a_k - sum_i b_i q_{k-i}) / b_0, nonzero b_i only
+        for k, acc in enumerate(self.coeffs[m:n + 1]):
+            for i, bi in terms:
+                if i > k:
+                    break
+                acc -= bi * out[k - i]
+            out.append(acc / b[0])
+        return TruncatedSeries(self.base, out)
 
     # -- structural operations --------------------------------------------
 
@@ -365,16 +391,7 @@ class TruncatedSeries:
 
     def recip(self) -> "TruncatedSeries":
         """Series g with self * g = 1 up to the truncation order."""
-        f0 = self.coeffs[0]
-        if f0 == 0:
-            raise ValueError("cannot invert a series with zero constant term")
-        out = [1 / f0]
-        for k in range(1, self.order + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out.append(-acc / f0)
-        return TruncatedSeries(self.base, out)
+        return TruncatedSeries(self.base, [1] + [0] * self.order) / self
 
     def cpow(self, tau: Scalar) -> "TruncatedSeries":
         """Principal complex power self**tau for constant term exactly 1.
@@ -399,3 +416,67 @@ class TruncatedSeries:
         head = ", ".join(f"{complex(c):.6g}" for c in self.coeffs[:5])
         tail = ", ..." if self.order >= 5 else ""
         return f"TruncatedSeries(base={self.base:.6g}, order={self.order}, [{head}{tail}])"
+
+
+def _scalar(x) -> Scalar:
+    return x if isinstance(x, (int, Fraction)) else complex(x)
+
+
+# ----------------------------------------------------------------------
+# exp, sin, cos and log of a series (Knuth, TAOCP vol. 2, section 4.7)
+# ----------------------------------------------------------------------
+
+def _flow(f: TruncatedSeries, exact: list, start: list, links: list,
+          out: int) -> TruncatedSeries:
+    """Series g_out of the g_j with g_j' = sign f' g_src, (src, sign) =
+    links[j]: k g_jk = sign sum_i i f_i g_src,k-i over the nonzero f_i,
+    so a linear f costs O(n).  An exact f with f_0 = 0 starts from
+    exact[j] and sums ints G_jk = g_jk D^k k!, D clearing the
+    denominators of the i f_i; any other f starts from start[j](f_0) in
+    complex arithmetic."""
+    terms = [(i, i * c) for i, c in enumerate(f.coeffs[1:], 1) if c != 0]
+    ints = type(f.coeffs[0]) is Fraction and f.coeffs[0] == 0
+    if ints:
+        d = math.lcm(*(w.denominator for _, w in terms))
+        terms = [(i, w.numerator * (d // w.denominator) * d ** (i - 1))
+                 for i, w in terms]
+    gs = [[x] for x in exact] if ints else [[fn(f.coeffs[0])] for fn in start]
+    for k in range(1, f.order + 1):
+        for g, (src, sign) in zip(gs, links):
+            h, acc = gs[src], 0
+            for i, w in terms:
+                if i > k:
+                    break
+                acc += (w * math.perm(k - 1, i - 1) if ints else w) * h[k - i]
+            acc = acc if ints else acc / k
+            g.append(acc if sign > 0 else -acc)
+    if ints:
+        return TruncatedSeries(f.base, [Fraction(x, math.factorial(k) * d ** k)
+                                        for k, x in enumerate(gs[out])])
+    return TruncatedSeries(f.base, gs[out])
+
+
+def exp(f: TruncatedSeries) -> TruncatedSeries:
+    """e^f, from g' = f' g; exact for exact f with f_0 = 0."""
+    return _flow(f, [1], [cmath.exp], [(0, 1)], 0)
+
+
+def sin(f: TruncatedSeries) -> TruncatedSeries:
+    """sin f, from s' = f' c, c' = -f' s; exact for exact f with f_0 = 0."""
+    return _flow(f, [0, 1], [cmath.sin, cmath.cos], [(1, 1), (0, -1)], 0)
+
+
+def cos(f: TruncatedSeries) -> TruncatedSeries:
+    """cos f, from s' = f' c, c' = -f' s; exact for exact f with f_0 = 0."""
+    return _flow(f, [0, 1], [cmath.sin, cmath.cos], [(1, 1), (0, -1)], 1)
+
+
+def log(f: TruncatedSeries) -> TruncatedSeries:
+    """Principal log f = log f_0 + the integral of f'/f; exact for exact
+    f with f_0 = 1.  For f = 1 + z, f'/f = 1 - z + z^2 - ... exactly, so
+    each 1/k is rounded once."""
+    f0 = f.coeffs[0]
+    if f0 == 0:
+        raise ValueError("log of a series with zero constant term")
+    start = 0 if type(f0) is Fraction and f0 == 1 else cmath.log(f0)
+    return (f.differentiate() / f).integral(start)

@@ -38,7 +38,7 @@ from typing import Optional, Union
 
 from .expansion import EvenOpposite, alpha_bell, assemble
 from .saddle import SaddleNormalForm, normalize
-from .series import TruncatedSeries, bernoulli
+from .series import TruncatedSeries, bernoulli, exp
 
 __all__ = [
     "WaveConstants",
@@ -161,12 +161,8 @@ def _phase_normal_form(order: int) -> SaddleNormalForm:
 
 
 def _exp_series(c: complex, order: int) -> TruncatedSeries:
-    """Taylor series of e^{c z} about z0: coefficients e^{c z0} c^k / k!."""
-    _, z0, _ = _root_w0()
-    coeffs = [cmath.exp(c * z0)]
-    for k in range(1, order + 1):
-        coeffs.append(coeffs[-1] * c / k)
-    return TruncatedSeries(z0, coeffs)
+    """Taylor series of e^{c z} about z0."""
+    return exp(c * TruncatedSeries.identity(_root_w0()[1], order))
 
 
 @lru_cache(maxsize=None)

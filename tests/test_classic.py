@@ -10,11 +10,14 @@ from saddlepoint.classic import (agreement_digits,
                                  center_d_values, center_fs_polynomial,
                                  center_gamma, center_normal_form,
                                  center_q_coeffs, center_saddle,
+                                 gamma_normal_form, gamma_phase,
                                  gamma_stirling, kepler_d_table,
                                  kepler_normal_form, parabolic_d_table,
-                                 parabolic_q_table)
+                                 parabolic_q_table, sine_phase, taylor)
 from saddlepoint.expansion import alpha_direct
 from saddlepoint.problemfile import example_problem, run_problem
+from saddlepoint.quadrature import builtin_integrand
+from saddlepoint.saddle import normalize
 from saddlepoint.series import TruncatedSeries, bernoulli
 
 # reference values for the worked integrals at N = 50 (12-digit
@@ -108,6 +111,52 @@ class TestExactTables:
                              / (math.factorial(n) * math.factorial(s - n)))
                 want *= 2 * (-1) ** (s // 2)
             assert table[s] == want and type(table[s]) is Fraction, s
+
+
+class TestDefinitions:
+    def test_exact_ratios_match_closed_forms(self):
+        # -z + log z at 1: p_i/p0 = (-1)^i 2/(i+2); z - sin z at 0:
+        # 6 (-1)^{i/2}/(i+3)! for even i, 0 for odd i
+        gamma = normalize(taylor(gamma_phase, 1, 82))
+        sine = normalize(taylor(sine_phase, 0, 83))
+        assert (gamma.mu, gamma.p0, gamma.p_at_z0) == (2, Fraction(1, 2), -1)
+        assert (sine.mu, sine.p0, sine.p_at_z0) == (3, Fraction(-1, 6), 0)
+        assert [-c for c in gamma.phi.coeffs[1:]] == [
+            Fraction(2 * (-1) ** i, i + 2) for i in range(1, 81)]
+        assert [-c for c in sine.phi.coeffs[1:]] == [
+            Fraction(6 * (-1) ** (i // 2), math.factorial(i + 3)) if i % 2 == 0
+            else 0 for i in range(1, 81)]
+        for nf in (gamma, sine):
+            assert all(type(c) is Fraction for c in nf.phi.coeffs)
+
+    def test_float_gamma_normal_form_is_the_rounded_exact_one(self):
+        nf = gamma_normal_form(84)
+        exact = normalize(taylor(gamma_phase, 1, 86))
+        assert [repr(c) for c in nf.phi.coeffs[1:]] == [
+            repr(complex(c)) for c in exact.phi.coeffs[1:]]
+        assert nf.phi.order == 84
+        assert (nf.mu, nf.p0, nf.p_at_z0, nf.omega0) == (2, 0.5, -1.0, 0.0)
+
+    @pytest.mark.parametrize("name, eps", [
+        ("gamma", 0.4), ("kepler", 0.4), ("parabolic", 0.4),
+        ("center", 0.1), ("center", 0.4), ("center", 0.7), ("center", 0.97)])
+    def test_integrand_matches_reference(self, name, eps):
+        # e^{N p} q (z - z0)^(a - 1) from the one definition against the
+        # independent reference integrands, on circles about the saddle
+        # that miss the poles (the center pole is z0 itself)
+        n = 30.0
+        problem = example_problem(name, n=n, eps=eps).problem
+        z0 = problem.normal_form.z0
+        reference = builtin_integrand(
+            "kepler_plain" if name == "kepler" else name,
+            **({"n": n, "eps": eps} if name == "center" else {"n": n}))
+        for radius in (0.05, 0.3, 0.9):
+            for k in range(12):
+                z = z0 + radius * cmath.exp(2j * math.pi * (k + 0.3) / 12)
+                got = (cmath.exp(n * problem.p_callable(z)) * problem.q_callable(z)
+                       * (z - z0) ** (problem.a - 1))
+                want = reference(z)
+                assert abs(got - want) <= 1e-12 * abs(want), (name, eps, z)
 
 
 class TestGammaReport:

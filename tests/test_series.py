@@ -1,5 +1,6 @@
 """Series algebra and exact combinatorial kernels."""
 
+import cmath
 import gc
 import itertools
 import math
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from saddlepoint import classic, expansion
+from saddlepoint import classic, expansion, series
+from saddlepoint.saddle import normalize
 from saddlepoint.series import (TruncatedSeries, bell_hat, bell_hat_table,
                                 bernoulli, binomial, power_rows, stirling2)
 
@@ -140,6 +142,100 @@ class TestRecip:
     def test_zero_constant_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             TruncatedSeries(0.0, [0, 1]).recip()
+
+    def test_sparse_exact_matches_dense_reference(self):
+        # recip loops over the nonzero coefficients only; the reference
+        # runs the defining convolution over every one of them
+        rng = random.Random(107)
+        for _ in range(40):
+            order = rng.randint(0, 30)
+            coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+                      if rng.random() < 0.3 else 0 for _ in range(order + 1)]
+            coeffs[0] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                 rng.randint(1, 9))
+            want = [1 / coeffs[0]]
+            for k in range(1, order + 1):
+                want.append(-sum((coeffs[i] * want[k - i]
+                                  for i in range(1, k + 1)), Fraction(0))
+                            / coeffs[0])
+            got = TruncatedSeries(0, coeffs).recip().coeffs
+            assert list(got) == want
+            assert all(type(c) is Fraction for c in got)
+
+
+class TestDivision:
+    def test_common_exact_zero_cancels(self):
+        # z^2 / (z^2 - z^4/12) = 1/(1 - z^2/12): two orders fewer
+        num = TruncatedSeries(0, [0, 0, 1, 0, 0, 0])
+        den = TruncatedSeries(0, [0, 0, 1, 0, Fraction(-1, 12), 0])
+        got = num / den
+        assert got.order == 3
+        assert got.coeffs == (1, 0, Fraction(1, 12), 0)
+
+    def test_float_exact_zero_cancels(self):
+        num = TruncatedSeries(0.0, [0.0, 2.0, 1.0])
+        got = num / TruncatedSeries(0.0, [0.0, 1.0, 0.0])
+        assert got.order == 1 and got.coeffs == (2, 1)
+
+    def test_zero_in_denominator_only_rejected(self):
+        with pytest.raises(ValueError, match="constant"):
+            TruncatedSeries(0, [1, 1]) / TruncatedSeries(0, [0, 1])
+
+
+class TestElementaryFunctions:
+    ORDER = 20
+
+    def exact_argument(self):
+        """f = z/2 - z^2/3 + z^3 + z^7/5 (f(0) = 0), exact to order 20."""
+        coeffs = [0] * (self.ORDER + 1)
+        coeffs[1:4] = [Fraction(1, 2), Fraction(-1, 3), 1]
+        coeffs[7] = Fraction(1, 5)
+        return TruncatedSeries(0, coeffs)
+
+    def test_exact_identities(self):
+        f = self.exact_argument()
+        one = (1,) + (0,) * self.ORDER
+        s, c = series.sin(f), series.cos(f)
+        assert (s * s + c * c).coeffs == one
+        assert series.exp(series.log(1 + f)).coeffs == (1 + f).coeffs
+        assert series.log(series.exp(f)).coeffs == f.coeffs
+        assert (series.exp(f) * series.exp(-f)).coeffs == one
+        for r in (s, c, series.exp(f), series.log(1 + f)):
+            assert all(type(x) is Fraction for x in r.coeffs)
+
+    def test_exact_values_on_the_identity(self):
+        z = TruncatedSeries.identity(0, 12)
+        fact = math.factorial
+        assert series.exp(z).coeffs == tuple(Fraction(1, fact(k)) for k in range(13))
+        assert series.log(1 + z).coeffs == tuple(
+            [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, 13)])
+        assert series.sin(z).coeffs == tuple(
+            Fraction((-1) ** (k // 2), fact(k)) if k % 2 else 0 for k in range(13))
+        assert series.cos(z).coeffs == tuple(
+            0 if k % 2 else Fraction((-1) ** (k // 2), fact(k)) for k in range(13))
+
+    def test_type_rule(self):
+        f = self.exact_argument()
+        for r in (series.exp(f + 1), series.sin(f + Fraction(1, 2)),
+                  series.cos(f + 1), series.log(f + 2),
+                  series.exp(f * 1.0), series.log(1.0 + f), series.sin(f * 1j)):
+            assert all(type(x) is complex for x in r.coeffs)
+        assert series.exp(f + 1).coeffs[0] == pytest.approx(math.e)
+        assert series.log(f + 2).coeffs[0] == pytest.approx(math.log(2))
+
+    def test_log_of_zero_constant_rejected(self):
+        with pytest.raises(ValueError, match="zero constant"):
+            series.log(TruncatedSeries.identity(0, 3))
+
+    @pytest.mark.parametrize("name", ["exp", "log", "sin", "cos"])
+    def test_float_series_agree_with_cmath(self, name):
+        # each function of a non-linear argument g, as a series about z0
+        # summed at z0 + h, against cmath on g(z0 + h)
+        z0, h = 0.3 - 0.4j, 0.01
+        g = lambda z, m: 0.7 + z - 0.2 * z * z  # noqa: E731
+        ser = getattr(series, name)(g(TruncatedSeries.identity(z0, 30), series))
+        want = getattr(cmath, name)(g(z0 + h, cmath))
+        assert abs(ser(z0 + h) - want) <= 1e-13 * abs(want)
 
 
 class TestCpow:
@@ -375,7 +471,8 @@ class TestBellHatTableExact:
             assert all(x == 0 for row in table[1:] for x in row)
 
     def test_kepler_and_parabolic_tables_match_reference(self):
-        args = classic._sine_bell_args(40)
+        args = [-c for c in normalize(
+            classic.taylor(classic.sine_phase, 0, 43)).phi.coeffs[1:41]]
         for got, q, a in ((classic.kepler_d_table(40), [1] + [0] * 40, 1),
                           (classic.parabolic_d_table(40),
                            classic.parabolic_q_table(40), -1)):
@@ -531,11 +628,22 @@ class TestExactCoefficients:
         exact = TruncatedSeries(0.0, [1, Fraction(1, 2)])
         floating = TruncatedSeries(0.0, [1.0, 0.5])
         for r in (exact + floating, exact * floating, floating * exact,
-                  exact.integral(0.5), exact + 1, exact * 2, exact.cpow(2),
-                  TruncatedSeries.constant(1, 0.0, 2),
+                  exact.integral(0.5), exact + 0.5, exact * 2.0, exact / 1j,
+                  exact.cpow(2), TruncatedSeries.constant(1, 0.0, 2),
                   TruncatedSeries.identity(0.0, 2)):
             assert all(type(c) is complex for c in r.coeffs)
         assert type(exact(0.5)) is complex
+
+    def test_exact_scalar_operands_stay_exact(self):
+        exact = TruncatedSeries(0.0, [1, Fraction(1, 2)])
+        for r in (exact + 1, 1 + exact, exact - Fraction(1, 3), 2 - exact,
+                  exact * 2, Fraction(2, 3) * exact, exact / 3,
+                  TruncatedSeries.identity(Fraction(1, 2), 3),
+                  TruncatedSeries.identity(1, 2)):
+            self._assert_exact(r)
+        assert (2 - exact).coeffs == (1, Fraction(-1, 2))
+        assert (exact / 3).coeffs == (Fraction(1, 3), Fraction(1, 6))
+        assert TruncatedSeries.identity(1, 2).coeffs == (1, 1, 0)
 
     def test_repr_of_exact_series(self):
         assert "0.5" in repr(TruncatedSeries(0.0, [Fraction(1, 2)]))
