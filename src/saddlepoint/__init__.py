@@ -19,44 +19,48 @@ Modules:
 * :mod:`saddlepoint.problemfile` problems, built-in examples, pipeline
 * :mod:`saddlepoint.waves`      Sylvester-wave asymptotics
 * :mod:`saddlepoint.cli`        the ``saddlepoint`` command
+
+The names below load their module on first use, so ``import
+saddlepoint`` (and the command line) pays only for the modules it uses.
 """
 
 __version__ = "1.0.0"
 
-from .series import (TruncatedSeries, bernoulli, stirling2, binomial,
-                     bell_hat, bell_hat_table)
-from .saddle import (SaddleNormalForm, DirectionClass, RootResult,
-                     MaxConditionReport, normalize, theta, sector_index,
-                     classify_direction, find_saddle, check_max_condition)
-from .expansion import (AlphaSequence, AsymptoticExpansion, Term,
-                        Endpoint, Through, EvenOpposite, CirclePath,
-                        bell_sums, alpha_bell, alpha_direct, assemble,
-                        vanishing_shift)
-from .quadrature import (Segment, Arc, Contour, QuadratureResult,
-                         integrate, integrate_power_factor, builtin_integrand)
-from .classic import (agreement_digits, gamma_stirling, kepler_d_table,
-                      center_q_coeffs, center_d_values, center_fs_polynomial,
-                      parabolic_q_table, parabolic_d_table)
-from .waves import (WaveConstants, WaveExpansion, dilog, solve_constants,
-                    p_wave_series, f_lambda_series, u_series,
-                    wave_coefficients, wave_main_term)
+#: the public names of each module, re-exported here
+_EXPORTS = {
+    "series": ("TruncatedSeries", "bernoulli", "stirling2", "binomial",
+               "bell_hat", "bell_hat_table"),
+    "saddle": ("SaddleNormalForm", "DirectionClass", "RootResult",
+               "MaxConditionReport", "normalize", "theta", "sector_index",
+               "classify_direction", "find_saddle", "check_max_condition"),
+    "expansion": ("AlphaSequence", "AsymptoticExpansion", "Term", "Endpoint",
+                  "Through", "EvenOpposite", "CirclePath", "bell_sums",
+                  "alpha_bell", "alpha_direct", "assemble", "vanishing_shift"),
+    "quadrature": ("Segment", "Arc", "Contour", "QuadratureResult",
+                   "integrate", "integrate_power_factor", "builtin_integrand"),
+    "classic": ("agreement_digits", "gamma_stirling", "kepler_d_table",
+                "center_q_coeffs", "center_d_values", "center_fs_polynomial",
+                "parabolic_q_table", "parabolic_d_table"),
+    "waves": ("WaveConstants", "WaveExpansion", "dilog", "solve_constants",
+              "p_wave_series", "f_lambda_series", "u_series",
+              "wave_coefficients", "wave_main_term"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "__version__",
-    "TruncatedSeries", "bernoulli", "stirling2", "binomial", "bell_hat",
-    "bell_hat_table",
-    "SaddleNormalForm", "DirectionClass", "RootResult", "MaxConditionReport",
-    "normalize", "theta", "sector_index", "classify_direction", "find_saddle",
-    "check_max_condition",
-    "AlphaSequence", "AsymptoticExpansion", "Term", "Endpoint", "Through",
-    "EvenOpposite", "CirclePath", "bell_sums", "alpha_bell", "alpha_direct",
-    "assemble", "vanishing_shift",
-    "Segment", "Arc", "Contour", "QuadratureResult", "integrate",
-    "integrate_power_factor", "builtin_integrand",
-    "agreement_digits", "gamma_stirling", "kepler_d_table", "center_q_coeffs",
-    "center_d_values", "center_fs_polynomial", "parabolic_q_table",
-    "parabolic_d_table",
-    "WaveConstants", "WaveExpansion", "dilog", "solve_constants",
-    "p_wave_series", "f_lambda_series", "u_series", "wave_coefficients",
-    "wave_main_term",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` (PEP 562) and keep the value."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -105,7 +104,8 @@ def taylor(f: Callable, z0: complex, order: int) -> TruncatedSeries:
 def normal_form(phase: Callable, z0: complex, order: int) -> SaddleNormalForm:
     """``normalize`` of the :func:`taylor` series, phi to ``order``."""
     nf = normalize(taylor(phase, z0, order + 3))     # mu <= 3
-    return replace(nf, phi=nf.phi.truncate(order))
+    return SaddleNormalForm(nf.z0, nf.p_at_z0, nf.mu, nf.p0, nf.omega0,
+                            nf.phi.truncate(order))
 
 
 @lru_cache(maxsize=32)

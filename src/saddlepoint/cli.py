@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from . import waves
 from .problemfile import (EXAMPLES, example_problem, parse_problem_file,
                           run_problem)
 from .quadrature import DEFAULT_REL_TOL
@@ -207,6 +206,7 @@ def cmd_example(args) -> int:
 
 
 def _cmd_example_sylvester(args) -> int:
+    from . import waves         # only this command needs it: keeps start-up short
     out = sys.stdout
     terms = 3 if args.terms is None else args.terms
     try:

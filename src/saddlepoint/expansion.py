@@ -42,10 +42,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._record import Record
 from .saddle import SaddleNormalForm
 from .series import TruncatedSeries, _factorial, bell_hat_table, power_rows
 
@@ -89,14 +89,16 @@ def _cgamma(z: complex) -> complex:
     return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
-@dataclass(frozen=True)
-class AlphaSequence:
+class AlphaSequence(Record):
     """Coefficients alpha_0..alpha_{S-1} for exponent parameter a."""
 
-    a: ExponentParam
-    alphas: tuple
-    mu: int
-    p0: complex
+    __slots__ = ("a", "alphas", "mu", "p0")
+
+    def __init__(self, a: ExponentParam, alphas: tuple, mu: int, p0: complex):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "p0", p0)
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -105,26 +107,20 @@ class AlphaSequence:
         return self.alphas[s]
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    k: int
+class Endpoint(Record):
+    __slots__ = ("k",)
 
 
-@dataclass(frozen=True)
-class Through:
-    k1: int
-    k2: int
+class Through(Record):
+    __slots__ = ("k1", "k2")
 
 
-@dataclass(frozen=True)
-class EvenOpposite:
-    k: int
+class EvenOpposite(Record):
+    __slots__ = ("k",)
 
 
-@dataclass(frozen=True)
-class CirclePath:
-    k1: int
-    k2: int
+class CirclePath(Record):
+    __slots__ = ("k1", "k2")
 
     @property
     def winding(self) -> int:
@@ -134,21 +130,22 @@ class CirclePath:
 BranchSpec = Union[Endpoint, Through, EvenOpposite, CirclePath]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """One term coeff * N^(-exponent) of an asymptotic expansion."""
 
-    s: int
-    exponent: complex
-    coefficient: complex
+    __slots__ = ("s", "exponent", "coefficient")
+
+    def __init__(self, s: int, exponent: complex, coefficient: complex):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "coefficient", coefficient)
 
     @property
     def is_zero(self) -> bool:
         return self.coefficient == 0
 
 
-@dataclass(frozen=True)
-class AsymptoticExpansion:
+class AsymptoticExpansion(Record):
     """Prefactor exponent and term list of the expansion in N.
 
     Evaluation at N > 0 is e^{N p_at_z0} * sum coeff_s N^(-exponent_s)
@@ -156,9 +153,12 @@ class AsymptoticExpansion:
     index s always matches the expansion order.
     """
 
-    p_at_z0: complex
-    terms: tuple
-    a: ExponentParam = 1
+    __slots__ = ("p_at_z0", "terms", "a")
+
+    def __init__(self, p_at_z0: complex, terms: tuple, a: ExponentParam = 1):
+        object.__setattr__(self, "p_at_z0", p_at_z0)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "a", a)
 
     @property
     def order(self) -> int:
@@ -404,13 +404,10 @@ def assemble(alphas: AlphaSequence, nf: SaddleNormalForm,
     return AsymptoticExpansion(p_at_z0=nf.p_at_z0, terms=tuple(terms), a=a)
 
 
-@dataclass(frozen=True)
-class VanishingShiftReport:
+class VanishingShiftReport(Record):
     """Outcome of factoring q = (z - z0)^m psi inside the coefficients."""
 
-    psi: TruncatedSeries
-    max_abs_error: float
-    leading_alphas_zero: bool
+    __slots__ = ("psi", "max_abs_error", "leading_alphas_zero")
 
     @property
     def passed(self) -> bool:

@@ -42,23 +42,23 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
+from ._record import Record
 from .classic import (agreement_digits, center_amplitude, center_contour,
                       center_d_values, center_phase, center_saddle,
                       gamma_contour, gamma_phase, gamma_stirling,
                       kepler_contour, kepler_d_table, kepler_phase,
                       normal_form, parabolic_amplitude, parabolic_contour,
                       parabolic_d_table, taylor)
-from .expansion import (AsymptoticExpansion, BranchSpec, CirclePath, Endpoint,
-                        EvenOpposite, ExponentParam, Through, alpha_bell,
-                        alpha_direct, assemble)
+from .expansion import (BranchSpec, CirclePath, Endpoint, EvenOpposite,
+                        ExponentParam, Through, alpha_bell, alpha_direct,
+                        assemble)
 from .quadrature import (DEFAULT_REL_TOL, Arc, Contour, QuadratureResult,
                          Segment, integrate, integrate_power_factor)
-from .saddle import SaddleNormalForm, normalize
+from .saddle import normalize
 from .series import TruncatedSeries
 
 __all__ = ["Problem", "ProblemFileError", "parse_problem_file", "parse_problem_text",
@@ -75,19 +75,17 @@ class ProblemFileError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class Problem:
-    """A fully resolved saddle problem ready for the expansion pipeline."""
+class Problem(Record):
+    """A fully resolved saddle problem ready for the expansion pipeline.
 
-    normal_form: SaddleNormalForm
-    q: TruncatedSeries
-    a: ExponentParam
-    branch: BranchSpec
-    order: int
-    p_callable: Callable[[complex], complex]
-    q_callable: Callable[[complex], complex]
-    contour: Optional[Contour]
-    n_values: tuple
+    ``normal_form``, the amplitude series ``q``, ``a``, ``branch`` and
+    ``order`` give the expansion; the oracle integrates ``p_callable``
+    and ``q_callable`` along ``contour`` (``None`` when there is nothing
+    to validate) at each N of ``n_values``.
+    """
+
+    __slots__ = ("normal_form", "q", "a", "branch", "order", "p_callable",
+                 "q_callable", "contour", "n_values")
 
 
 def _as_complex(value, key: str, line: int) -> complex:
@@ -213,15 +211,10 @@ EXAMPLES = {
 }
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(Record):
     """A built-in worked problem at concrete parameters, with its exact table."""
 
-    name: str
-    parameters: dict
-    problem: Problem
-    coefficient_table: tuple
-    rel_tol: float
+    __slots__ = ("name", "parameters", "problem", "coefficient_table", "rel_tol")
 
 
 def example_problem(name: str, n: float = 50.0, eps: float = 0.4,
@@ -475,23 +468,24 @@ def parse_problem_file(path: str) -> Problem:
     return parse_problem_text(text)
 
 
-@dataclass(frozen=True)
-class Validation:
+class Validation(Record):
     """The expansion against the quadrature oracle at one N."""
 
-    n: float
-    value: complex
-    oracle: QuadratureResult
-    digits: int
+    __slots__ = ("n", "value", "oracle", "digits")
+
+    def __init__(self, n: float, value: complex, oracle: QuadratureResult,
+                 digits: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "oracle", oracle)
+        object.__setattr__(self, "digits", digits)
 
 
-@dataclass(frozen=True)
-class ProblemRun:
-    """What ``run_problem`` computed for one problem."""
+class ProblemRun(Record):
+    """What ``run_problem`` computed for one problem: the expansion, the
+    route deviation and one ``Validation`` per N."""
 
-    expansion: AsymptoticExpansion
-    route_deviation: float
-    validations: tuple
+    __slots__ = ("expansion", "route_deviation", "validations")
 
 
 def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRun:
@@ -502,8 +496,10 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
     the largest |alpha| in place of a zero |bell_s|.  The oracle takes
     the (z - z0)^(a-1) factor of ``integrate_power_factor`` when a != 1
     (branch-tracked unless a is an integer).  A branch variant that
-    does not fit the saddle raises ``ValueError``; a coefficient that
-    overflows double precision on either route raises ``OverflowError``.
+    does not fit the saddle raises ``ValueError``, and so does an N at
+    which e^{N p(z)} leaves double precision on the contour; a
+    coefficient that overflows double precision on either route raises
+    ``OverflowError``.
     """
     nf = problem.normal_form
     alphas = alpha_bell(nf, problem.q, problem.a, problem.order)
@@ -518,8 +514,14 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
     validations = []
     for n in problem.n_values:
         def f(z, n=n):
-            return cmath.exp(n * complex(problem.p_callable(z))) \
-                * complex(problem.q_callable(z))
+            exponent = n * complex(problem.p_callable(z))
+            try:
+                growth = cmath.exp(exponent)
+            except (ValueError, OverflowError):
+                raise ValueError(
+                    f"at N = {n:.17g} the integrand e^{{N p(z)}} q(z) is outside "
+                    f"double precision (N p(z) = {exponent})") from None
+            return growth * complex(problem.q_callable(z))
         if problem.a == 1:
             oracle = integrate(f, problem.contour, abs_tol=0.0, rel_tol=rel_tol)
         else:

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
+
+from ._record import Record
 
 __all__ = [
     "Segment",
@@ -53,10 +54,8 @@ DEFAULT_REL_TOL = 1e-11
 MAX_DEPTH = 40
 
 
-@dataclass(frozen=True)
-class Segment:
-    start: complex
-    end: complex
+class Segment(Record):
+    __slots__ = ("start", "end")
 
     def point(self, t: float) -> complex:
         return self.start + (self.end - self.start) * t
@@ -75,24 +74,25 @@ class Segment:
         return self.end
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Record):
     """Circular arc about ``center`` from ``angle_from`` to ``angle_to``.
 
     Orientation and winding are encoded by the signed angle sweep;
     sweeps beyond 2 pi are allowed and meaningful for branch tracking.
     """
 
-    center: complex
-    radius: float
-    angle_from: float
-    angle_to: float
+    __slots__ = ("center", "radius", "angle_from", "angle_to")
 
-    def __post_init__(self):
-        if self.radius <= 0:
+    def __init__(self, center: complex, radius: float, angle_from: float,
+                 angle_to: float):
+        if radius <= 0:
             raise ValueError("arc radius must be positive")
-        if not (math.isfinite(self.angle_from) and math.isfinite(self.angle_to)):
+        if not (math.isfinite(angle_from) and math.isfinite(angle_to)):
             raise ValueError("arc angles must be finite")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "angle_from", angle_from)
+        object.__setattr__(self, "angle_to", angle_to)
 
     def angle(self, t: float) -> float:
         return self.angle_from + (self.angle_to - self.angle_from) * t
@@ -118,8 +118,7 @@ class Arc:
 Piece = Union[Segment, Arc]
 
 
-@dataclass(frozen=True)
-class Contour:
+class Contour(Record):
     """Piecewise path of segments and arcs with shared endpoints.
 
     ``initial_branch_angle`` is the value of arg(z - z0) assigned at
@@ -127,8 +126,7 @@ class Contour:
     optional and ignored by plain integration.
     """
 
-    pieces: tuple
-    initial_branch_angle: Optional[float] = None
+    __slots__ = ("pieces", "initial_branch_angle")
 
     def __init__(self, pieces: Sequence[Piece],
                  initial_branch_angle: Optional[float] = None):
@@ -174,12 +172,15 @@ class Contour:
         return Contour(rev, None)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: complex
-    error_estimate: float
-    evaluations: int
-    converged: bool = True
+class QuadratureResult(Record):
+    __slots__ = ("value", "error_estimate", "evaluations", "converged")
+
+    def __init__(self, value: complex, error_estimate: float, evaluations: int,
+                 converged: bool = True):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_estimate", error_estimate)
+        object.__setattr__(self, "evaluations", evaluations)
+        object.__setattr__(self, "converged", converged)
 
 
 # 7/15 Gauss-Kronrod pair on [-1, 1]; Kronrod nodes with weights, the

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._record import Record
 from .series import TruncatedSeries
 
 __all__ = [
@@ -45,16 +45,19 @@ MU_DETECTION_RTOL = 1e-9
 BOUNDARY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SaddleNormalForm:
+class SaddleNormalForm(Record):
     """Local data (z0, p(z0), mu, p0, omega0, phi) of the phase function."""
 
-    z0: complex
-    p_at_z0: complex
-    mu: int
-    p0: complex
-    omega0: float
-    phi: TruncatedSeries
+    __slots__ = ("z0", "p_at_z0", "mu", "p0", "omega0", "phi")
+
+    def __init__(self, z0: complex, p_at_z0: complex, mu: int, p0: complex,
+                 omega0: float, phi: TruncatedSeries):
+        object.__setattr__(self, "z0", z0)
+        object.__setattr__(self, "p_at_z0", p_at_z0)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "omega0", omega0)
+        object.__setattr__(self, "phi", phi)
 
     def one_minus_phi(self) -> TruncatedSeries:
         return 1.0 - self.phi
@@ -70,30 +73,30 @@ class SaddleNormalForm:
         return TruncatedSeries(self.z0, coeffs)
 
 
-@dataclass(frozen=True)
-class DirectionClass:
-    """Classification of a ray from z0: valley, hill or boundary."""
+class DirectionClass(Record):
+    """Classification of a ray from z0: ``kind`` is "valley", "hill" or
+    "boundary"; a valley also has its ``sector_index``."""
 
-    kind: str                    # "valley" | "hill" | "boundary"
-    sector_index: Optional[int] = None
+    __slots__ = ("kind", "sector_index")
 
-
-@dataclass(frozen=True)
-class RootResult:
-    root: complex
-    residual: float
-    iterations: int
+    def __init__(self, kind: str, sector_index: Optional[int] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sector_index", sector_index)
 
 
-@dataclass(frozen=True)
-class MaxConditionReport:
-    """Result of sampling Re p along a contour against Re p(z0)."""
+class RootResult(Record):
+    __slots__ = ("root", "residual", "iterations")
 
-    passed: bool
-    max_excess: float            # max of Re p(z) - Re p(z0) over samples
-    argmax: complex
-    samples: int
-    excluded: int                # samples skipped inside the z0 disk
+
+class MaxConditionReport(Record):
+    """Result of sampling Re p along a contour against Re p(z0).
+
+    ``max_excess`` is the largest Re p(z) - Re p(z0) over the samples,
+    reached at ``argmax``; ``excluded`` counts the samples skipped inside
+    the z0 disk.
+    """
+
+    __slots__ = ("passed", "max_excess", "argmax", "samples", "excluded")
 
 
 def normalize(p: TruncatedSeries) -> SaddleNormalForm:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classic
@@ -23,15 +22,13 @@ from . import quadrature
 from . import saddle
 from . import series
 from . import waves
+from ._record import Record
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "detail")
 
 
 def _random_series(rng, base, order, constant=None):

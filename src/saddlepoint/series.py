@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
+
+from ._record import Record
 
 Scalar = Union[int, float, complex, Fraction]
 
@@ -221,8 +222,7 @@ def _times_terms(power: list, terms: list, upto: list, lo: int, zero) -> list:
 _BASE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Finite Taylor expansion sum_s coeffs[s] (z - base)^s.
 
     ``order`` is the highest retained index; ``coeffs`` has exactly
@@ -240,8 +240,7 @@ class TruncatedSeries:
     series share exactly at the base, and so returns m orders fewer.
     """
 
-    base: complex
-    coeffs: tuple
+    __slots__ = ("base", "coeffs")
 
     def __init__(self, base: complex, coeffs: Sequence[Scalar]):
         if len(coeffs) == 0:

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
+from ._record import Record
 from .expansion import EvenOpposite, alpha_bell, assemble
 from .saddle import SaddleNormalForm, normalize
 from .series import TruncatedSeries, bernoulli, exp
@@ -97,18 +97,14 @@ def _dilog_small(z: complex) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class WaveConstants:
+class WaveConstants(Record):
     """Saddle data of the wave phase function.
 
     ``residual`` is |Li2(w0) - 2 pi i log w0| at the computed root;
     z0_wave = 1 + log(1 - w0) / (2 pi i), so e^{2 pi i z0_wave} = 1 - w0.
     """
 
-    w0: complex
-    z0_wave: complex
-    p0_wave: complex
-    residual: float
+    __slots__ = ("w0", "z0_wave", "p0_wave", "residual")
 
 
 @lru_cache(maxsize=None)
@@ -252,18 +248,14 @@ def f_lambda_series(lam: Rat, order: int = 12) -> TruncatedSeries:
     return f
 
 
-@dataclass(frozen=True)
-class WaveExpansion:
+class WaveExpansion(Record):
     """Coefficients a_0..a_{t_max} of one wave family.
 
     Evaluation at integer-compatible N is
     Re[w0^{-N} N^{-2} sum_t coeffs[t] N^{-t}].
     """
 
-    lam: Rat
-    coeffs: tuple
-    w0: complex
-    z0_wave: complex
+    __slots__ = ("lam", "coeffs", "w0", "z0_wave")
 
     def main_term(self, n: int, terms: Optional[int] = None) -> float:
         if terms is None:

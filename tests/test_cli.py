@@ -119,6 +119,15 @@ class TestExample:
         assert "agreement: 0 digits" in out
         assert "agreement FAILURE" in out
 
+    @pytest.mark.parametrize("name", ["kepler", "parabolic"])
+    def test_integrand_outside_double_precision(self, capsys, name):
+        # N p(z) has an infinite part on the contour: cmath.exp fails
+        code, out, err = run(capsys, ["example", name, "--n", "1e308"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: at N = 1e+308 the integrand "
+                              "e^{N p(z)} q(z) is outside double precision")
+
     def test_bad_eps_is_input_error(self, capsys):
         code, _, err = run(capsys, ["example", "center", "--eps", "1.7"])
         assert code == 2
@@ -439,11 +448,14 @@ class TestFlags:
     def test_cli_imports_only_the_standard_library(self):
         src = str(Path(saddlepoint.__file__).parents[1])
         code = ("import sys; before = set(sys.modules); import saddlepoint.cli; "
-                "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+                "new = set(sys.modules) - before; "
+                "print(sorted({m.split('.')[0] for m in new}"
                 " - set(sys.stdlib_module_names) - {'saddlepoint'})); "
-                "print('saddlepoint.selftest' in sys.modules)")
+                "print(sorted(new & {'dataclasses', 'inspect', "
+                "'saddlepoint.selftest', 'saddlepoint.waves'}))")
         done = subprocess.run([sys.executable, "-c", code], check=True,
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
-        # selftest is imported by its own command only
-        assert done.stdout.split() == ["[]", "False"]
+        # selftest and waves are imported by their own commands only, and
+        # records generate no code, so dataclasses and inspect stay out
+        assert done.stdout.split() == ["[]", "[]"]
