@@ -20,8 +20,9 @@ Modules:
 * :mod:`saddlepoint.waves`      Sylvester-wave asymptotics
 * :mod:`saddlepoint.cli`        the ``saddlepoint`` command
 
-The names below load their module on first use, so ``import
-saddlepoint`` (and the command line) pays only for the modules it uses.
+The names below, and the modules that define them, load on first use,
+so ``import saddlepoint`` (and the command line) pays only for the
+modules it uses.
 """
 
 __version__ = "1.0.0"
@@ -52,15 +53,18 @@ __all__ = ["__version__", *_MODULE_OF]
 
 
 def __getattr__(name: str):
-    """Import the module that defines ``name`` (PEP 562) and keep the value."""
+    """Import the module ``name``, or the one that defines ``name``
+    (PEP 562), and keep the value."""
+    from importlib import import_module
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
     value = getattr(import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -15,8 +15,7 @@ class Record:
 
     The fields are given by position, in ``__slots__`` order, or by
     keyword.  A subclass writes its own ``__init__``, setting each field
-    with ``object.__setattr__``, when it has defaults or checks, or when
-    it is built on a hot path: that is about twice as fast as this one.
+    with ``object.__setattr__``, only when it has defaults or checks.
     Two records are equal, and hash alike, when they are of the same
     class and their fields are equal; the repr reads
     ``Name(field=value, ...)``.  Assigning or deleting a field raises

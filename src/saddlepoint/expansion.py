@@ -94,12 +94,6 @@ class AlphaSequence(Record):
 
     __slots__ = ("a", "alphas", "mu", "p0")
 
-    def __init__(self, a: ExponentParam, alphas: tuple, mu: int, p0: complex):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "p0", p0)
-
     def __len__(self) -> int:
         return len(self.alphas)
 
@@ -134,11 +128,6 @@ class Term(Record):
     """One term coeff * N^(-exponent) of an asymptotic expansion."""
 
     __slots__ = ("s", "exponent", "coefficient")
-
-    def __init__(self, s: int, exponent: complex, coefficient: complex):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "coefficient", coefficient)
 
     @property
     def is_zero(self) -> bool:

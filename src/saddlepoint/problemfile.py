@@ -56,8 +56,8 @@ from .classic import (agreement_digits, center_amplitude, center_contour,
 from .expansion import (BranchSpec, CirclePath, Endpoint, EvenOpposite,
                         ExponentParam, Through, alpha_bell, alpha_direct,
                         assemble)
-from .quadrature import (DEFAULT_REL_TOL, Arc, Contour, QuadratureResult,
-                         Segment, integrate, integrate_power_factor)
+from .quadrature import (DEFAULT_REL_TOL, Arc, Contour, Segment, integrate,
+                         integrate_power_factor)
 from .saddle import normalize
 from .series import TruncatedSeries
 
@@ -473,13 +473,6 @@ class Validation(Record):
 
     __slots__ = ("n", "value", "oracle", "digits")
 
-    def __init__(self, n: float, value: complex, oracle: QuadratureResult,
-                 digits: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "oracle", oracle)
-        object.__setattr__(self, "digits", digits)
-
 
 class ProblemRun(Record):
     """What ``run_problem`` computed for one problem: the expansion, the
@@ -497,9 +490,8 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
     the (z - z0)^(a-1) factor of ``integrate_power_factor`` when a != 1
     (branch-tracked unless a is an integer).  A branch variant that
     does not fit the saddle raises ``ValueError``, and so does an N at
-    which e^{N p(z)} leaves double precision on the contour; a
-    coefficient that overflows double precision on either route raises
-    ``OverflowError``.
+    which N p(z) is not finite on the contour; a coefficient that
+    overflows double precision on either route raises ``OverflowError``.
     """
     nf = problem.normal_form
     alphas = alpha_bell(nf, problem.q, problem.a, problem.order)
@@ -517,7 +509,7 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
             exponent = n * complex(problem.p_callable(z))
             try:
                 growth = cmath.exp(exponent)
-            except (ValueError, OverflowError):
+            except ValueError:
                 raise ValueError(
                     f"at N = {n:.17g} the integrand e^{{N p(z)}} q(z) is outside "
                     f"double precision (N p(z) = {exponent})") from None

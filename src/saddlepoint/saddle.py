@@ -50,15 +50,6 @@ class SaddleNormalForm(Record):
 
     __slots__ = ("z0", "p_at_z0", "mu", "p0", "omega0", "phi")
 
-    def __init__(self, z0: complex, p_at_z0: complex, mu: int, p0: complex,
-                 omega0: float, phi: TruncatedSeries):
-        object.__setattr__(self, "z0", z0)
-        object.__setattr__(self, "p_at_z0", p_at_z0)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "omega0", omega0)
-        object.__setattr__(self, "phi", phi)
-
     def one_minus_phi(self) -> TruncatedSeries:
         return 1.0 - self.phi
 

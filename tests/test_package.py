@@ -195,6 +195,8 @@ def test_exports_load_on_first_use():
     src = str(Path(saddlepoint.__file__).parents[1])
     code = ("import sys, saddlepoint; "
             "print(sorted(m for m in sys.modules if m.startswith('saddlepoint.'))); "
+            "print(saddlepoint.quadrature is sys.modules['saddlepoint.quadrature'], "
+            "'quadrature' in dir(saddlepoint)); "
             "from saddlepoint import TruncatedSeries; "
             "print('saddlepoint.series' in sys.modules, "
             "'saddlepoint.waves' in sys.modules); "
@@ -203,4 +205,5 @@ def test_exports_load_on_first_use():
     done = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.split("\n")[:3] == ["[]", "True False", "[]"]
+    assert done.stdout.split("\n")[:4] == ["[]", "True True", "True False",
+                                            "[]"]
