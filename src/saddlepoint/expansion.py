@@ -47,7 +47,8 @@ from typing import Optional, Sequence, Union
 
 from ._record import Record
 from .saddle import SaddleNormalForm
-from .series import TruncatedSeries, _factorial, bell_hat_table, power_rows
+from .series import (TruncatedSeries, _factorial, _miller_power, bell_hat_table,
+                     power_rows)
 
 __all__ = [
     "AlphaSequence",
@@ -175,11 +176,18 @@ class AsymptoticExpansion(Record):
         return acc
 
 
-def _exponent(s: int, a: ExponentParam, mu: int):
-    """(s + a)/mu, kept exact when a is an int or Fraction."""
+def _exponents(a: ExponentParam, mu: int, s_count: int) -> list:
+    """The exponents e_s = (s + a)/mu for s < s_count, as complex.
+
+    For an exact a = num/den each is the int quotient
+    (s den + num)/(mu den), the correctly rounded value of the exact
+    exponent (what ``complex`` of the ``Fraction`` gives).
+    """
     if isinstance(a, (int, Fraction)):
-        return (Fraction(a) + s) / mu
-    return (complex(a) + s) / mu
+        num, den = a.numerator, a.denominator
+        return [complex((s * den + num) / (mu * den)) for s in range(s_count)]
+    a = complex(a)
+    return [(a + s) / mu for s in range(s_count)]
 
 
 def _require_resolved(nf: SaddleNormalForm, q: TruncatedSeries, s_count: int) -> None:
@@ -195,9 +203,10 @@ def _require_resolved(nf: SaddleNormalForm, q: TruncatedSeries, s_count: int) ->
         raise ValueError("amplitude series must be expanded at the saddle point")
 
 
-def _p0_power(p0: complex, exponent) -> complex:
-    """Principal p0^(-exponent)."""
-    return cmath.exp(-complex(exponent) * cmath.log(p0))
+def _p0_powers(p0: complex, exponents: list) -> list:
+    """Principal p0^(-e) for each exponent e."""
+    log_p0 = cmath.log(p0)
+    return [cmath.exp(-e * log_p0) for e in exponents]
 
 
 def bell_sums(q: Sequence, ratios: Sequence, a: ExponentParam, mu: int,
@@ -220,7 +229,7 @@ def bell_sums(q: Sequence, ratios: Sequence, a: ExponentParam, mu: int,
     the lcm L_s of the denominators of rows 0..s, and c_s is one
     ``Fraction`` over L_s M^s s!: O(s) integer operations per
     coefficient where the table sum took O(s^2) ``Fraction`` ones, each
-    with a gcd.  The float sum runs over
+    with a gcd.  The float sum runs over the nonzero entries of
     :func:`series.bell_hat_table`, with C(tau, j) from a running
     falling factorial, the same operations as :func:`series.binomial`.
     """
@@ -234,9 +243,11 @@ def bell_sums(q: Sequence, ratios: Sequence, a: ExponentParam, mu: int,
            for x in (a, *q[:s_count], *ratios[:i_max])):
         return _exact_bell_sums(q, ratios, Fraction(a), mu, s_count)
     table = bell_hat_table(i_max, ratios)
+    nonzero = [[(j, b) for j, b in enumerate(row[:i + 1]) if b != 0]
+               for i, row in enumerate(table)]
     out = []
-    for s in range(s_count):
-        tau = -(complex(_exponent(s, a, mu)))
+    for s, e_s in enumerate(_exponents(a, mu, s_count)):
+        tau = -e_s
         binoms, falling = [], complex(1)
         for j in range(s + 1):
             binoms.append(falling / _factorial(j))
@@ -247,10 +258,7 @@ def bell_sums(q: Sequence, ratios: Sequence, a: ExponentParam, mu: int,
             if qc == 0:
                 continue
             bsum = complex(0)
-            for j in range(i + 1):
-                b = table[i][j]
-                if b == 0:
-                    continue
+            for j, b in nonzero[i]:
                 bsum += binoms[j] * b
             acc += qc * bsum
         out.append(acc)
@@ -293,8 +301,8 @@ def alpha_bell(nf: SaddleNormalForm, q: TruncatedSeries,
     _require_resolved(nf, q, s_count)
     ratios = [-c for c in nf.phi.coeffs[1:s_count]]
     sums = bell_sums(q.coeffs, ratios, a, nf.mu, s_count)
-    out = tuple([_p0_power(nf.p0, _exponent(s, a, nf.mu)) * c / nf.mu
-                 for s, c in enumerate(sums)])
+    powers = _p0_powers(nf.p0, _exponents(a, nf.mu, s_count))
+    out = tuple([power * c / nf.mu for power, c in zip(powers, sums)])
     return AlphaSequence(a=a, alphas=out, mu=nf.mu, p0=nf.p0)
 
 
@@ -303,24 +311,25 @@ def alpha_direct(nf: SaddleNormalForm, q: TruncatedSeries,
     """Coefficients via per-order series powering.
 
     For each s, w = (1 - phi)^(-(s+a)/mu) is formed to order s by
-    Miller's recurrence (:meth:`TruncatedSeries.cpow`), and
-    alpha_s = p0^(-(s+a)/mu) / mu * sum_{i<=s} q_{s-i} w_i.  Shares no
-    arithmetic with :func:`bell_sums`, so it cross-checks the Bell route.
+    Miller's recurrence, the kernel of :meth:`TruncatedSeries.cpow`
+    run on the one coefficient list of 1 - phi, so no series object is
+    built per order; then alpha_s = p0^(-(s+a)/mu) / mu *
+    sum_{i<=s} q_{s-i} w_i.  Shares no arithmetic with
+    :func:`bell_sums`, so it cross-checks the Bell route.
     """
     _require_resolved(nf, q, s_count)
-    base = nf.one_minus_phi()
+    base = nf.one_minus_phi().coeffs
+    exponents = _exponents(a, nf.mu, s_count)
     out = []
-    for s in range(s_count):
-        e_s = _exponent(s, a, nf.mu)
-        w = base.truncate(s).cpow(-complex(e_s)).coeffs
+    for s, (e_s, power) in enumerate(zip(exponents, _p0_powers(nf.p0, exponents))):
+        w = _miller_power(base, -e_s, s)
         c_s = sum(q.coeffs[s - i] * w[i] for i in range(s + 1))
-        out.append(_p0_power(nf.p0, e_s) * c_s / nf.mu)
+        out.append(power * c_s / nf.mu)
     return AlphaSequence(a=a, alphas=tuple(out), mu=nf.mu, p0=nf.p0)
 
 
-def _degenerate_order(e_s) -> Optional[int]:
+def _degenerate_order(e_s: complex) -> Optional[int]:
     """m when the exponent e_s is exactly an integer m <= 0, else None."""
-    e_s = complex(e_s)
     if e_s.imag == 0 and e_s.real <= 0 and e_s.real.is_integer():
         return int(e_s.real)
     return None
@@ -338,12 +347,12 @@ def _warn_near_pole(e_s: complex, s: int) -> None:
 _QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 
-def _phase(k: int, e_s) -> complex:
+def _phase(k: int, e_s: complex) -> complex:
     """e^{2 pi i k e_s}, exactly 1, i, -1 or -i on a quarter turn."""
-    quarters = 4 * k * complex(e_s)
+    quarters = 4 * k * e_s
     if quarters.imag == 0 and quarters.real.is_integer():
         return _QUARTER_TURNS[int(quarters.real) % 4]
-    return cmath.exp(2j * math.pi * k * complex(e_s))
+    return cmath.exp(2j * math.pi * k * e_s)
 
 
 def assemble(alphas: AlphaSequence, nf: SaddleNormalForm,
@@ -371,17 +380,18 @@ def assemble(alphas: AlphaSequence, nf: SaddleNormalForm,
         k_in, k_out = branch.k1, branch.k2
     else:
         raise TypeError(f"unknown branch variant {branch!r}")
+    exact = isinstance(a, (int, Fraction))
+    exponents = _exponents(a, mu, len(alphas.alphas))
     terms = []
-    for s, alpha in enumerate(alphas.alphas):
-        e_s = _exponent(s, a, mu)
+    for s, (e_s, alpha) in enumerate(zip(exponents, alphas.alphas)):
         m = _degenerate_order(e_s)
         if m is None:
-            if not isinstance(e_s, Fraction):
-                _warn_near_pole(complex(e_s), s)
+            if not exact:
+                _warn_near_pole(e_s, s)
             phases = _phase(k_out, e_s)
             if k_in is not None:
                 phases -= _phase(k_in, e_s)
-            coeff = 0j if phases == 0 else _cgamma(complex(e_s)) * alpha * phases
+            coeff = 0j if phases == 0 else _cgamma(e_s) * alpha * phases
         elif isinstance(branch, CirclePath):
             coeff = (2j * math.pi * branch.winding * (-1.0) ** m
                      / math.factorial(abs(m))) * alpha
@@ -389,7 +399,7 @@ def assemble(alphas: AlphaSequence, nf: SaddleNormalForm,
             raise ValueError(
                 f"exponent (s+a)/mu = {m} at s = {s} hits a Gamma "
                 f"pole; only a circling path has a finite replacement")
-        terms.append(Term(s=s, exponent=complex(e_s), coefficient=complex(coeff)))
+        terms.append(Term(s, e_s, complex(coeff)))
     return AsymptoticExpansion(p_at_z0=nf.p_at_z0, terms=tuple(terms), a=a)
 
 

@@ -22,7 +22,9 @@ purity lets one call evaluate each Gauss-Kronrod panel once: the
 budget sweeps of a call retrace the same bisection tree, so a panel's
 (value, error) pair is memoized for the rest of the call and only new
 panels call the integrand.  ``QuadratureResult.evaluations`` counts
-those real integrand calls, 15 per distinct panel.
+those real integrand calls, 15 per distinct panel.  Each panel is
+evaluated as one batch: its piece gives the points and velocities of
+all 15 nodes in one call, and the weighted integrand maps over them.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ class Segment(Record):
     def point(self, t: float) -> complex:
         return self.start + (self.end - self.start) * t
 
-    def point_velocity(self, t: float) -> tuple:
-        """``(point(t), dz/dt)``."""
+    def points_velocities(self, ts: Sequence[float]) -> tuple:
+        """The lists of ``point(t)`` and dz/dt over ``ts``."""
         velocity = self.end - self.start
-        return self.start + velocity * t, velocity
+        return [self.start + velocity * t for t in ts], [velocity] * len(ts)
 
     @property
     def first(self) -> complex:
@@ -100,11 +102,14 @@ class Arc(Record):
     def point(self, t: float) -> complex:
         return self.center + self.radius * cmath.exp(1j * self.angle(t))
 
-    def point_velocity(self, t: float) -> tuple:
-        """``(point(t), dz/dt)`` from one complex exponential."""
-        turn = cmath.exp(1j * self.angle(t))
+    def points_velocities(self, ts: Sequence[float]) -> tuple:
+        """The lists of ``point(t)`` and dz/dt over ``ts``, from one
+        complex exponential per parameter."""
         sweep = self.angle_to - self.angle_from
-        return self.center + self.radius * turn, self.radius * 1j * sweep * turn
+        turns = [cmath.exp(1j * (self.angle_from + sweep * t)) for t in ts]
+        scale = self.radius * 1j * sweep
+        return ([self.center + self.radius * turn for turn in turns],
+                [scale * turn for turn in turns])
 
     @property
     def first(self) -> complex:
@@ -213,11 +218,12 @@ _WG = (
 )
 
 
-def _gk15(g: Callable[[float], complex], t0: float, t1: float):
-    """One Gauss-Kronrod step of g over [t0, t1]: (K15, |K15 - G7|)."""
+def _gk15(g: Callable[[list], list], t0: float, t1: float):
+    """One Gauss-Kronrod step of g over [t0, t1]: (K15, |K15 - G7|),
+    from one call of g on the 15 nodes."""
     mid = 0.5 * (t0 + t1)
     half = 0.5 * (t1 - t0)
-    vs = [g(mid + half * x) for x in _XK]
+    vs = g([mid + half * x for x in _XK])
     k = 0.0 + 0.0j
     for w, v in zip(_WK, vs):
         k += w * v
@@ -227,7 +233,7 @@ def _gk15(g: Callable[[float], complex], t0: float, t1: float):
     return k * half, abs(k - gauss) * abs(half)
 
 
-def _adapt(g: Callable[[float], complex], piece: int, panels: dict,
+def _adapt(g: Callable[[list], list], piece: int, panels: dict,
            t0: float, t1: float, budget: float, rel_floor: float,
            depth: int, max_depth: int):
     """Bisect [t0, t1] of piece ``piece`` until each panel meets its budget.
@@ -311,11 +317,11 @@ def integrate(f: Callable[[complex], complex],
     """
 
     def make(piece: Piece):
-        point_velocity = piece.point_velocity
+        trace = piece.points_velocities
 
-        def g(t: float) -> complex:
-            z, v = point_velocity(t)
-            return f(z) * v
+        def g(ts: list) -> list:
+            zs, vs = trace(ts)
+            return [f(z) * v for z, v in zip(zs, vs)]
 
         return g
 
@@ -395,11 +401,11 @@ def integrate_power_factor(f: Callable[[complex], complex],
         m = int(aa.real) - 1
 
         def make_power(piece: Piece):
-            point_velocity = piece.point_velocity
+            trace = piece.points_velocities
 
-            def g(t: float) -> complex:
-                z, v = point_velocity(t)
-                return (z - z0) ** m * f(z) * v
+            def g(ts: list) -> list:
+                zs, vs = trace(ts)
+                return [(z - z0) ** m * f(z) * v for z, v in zip(zs, vs)]
 
             return g
 
@@ -421,14 +427,18 @@ def integrate_power_factor(f: Callable[[complex], complex],
     exponent = aa - 1.0
 
     def make(tr: _BranchTracker):
-        point_velocity = tr.piece.point_velocity
+        trace = tr.piece.points_velocities
         tracked_angle = tr.angle
 
-        def g(t: float) -> complex:
-            z, v = point_velocity(t)
-            w = z - z0
-            power = cmath.exp(exponent * complex(math.log(abs(w)), tracked_angle(t, w)))
-            return power * f(z) * v
+        def g(ts: list) -> list:
+            zs, vs = trace(ts)
+            out = []
+            for t, z, v in zip(ts, zs, vs):
+                w = z - z0
+                power = cmath.exp(exponent * complex(math.log(abs(w)),
+                                                     tracked_angle(t, w)))
+                out.append(power * f(z) * v)
+            return out
 
         return g
 

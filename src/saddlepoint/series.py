@@ -87,14 +87,20 @@ def stirling2(m: int, j: int) -> int:
 def binomial(tau: Scalar, j: int) -> Scalar:
     """Generalized binomial coefficient C(tau, j) for integer j >= 0.
 
-    Stays exact when ``tau`` is an int or Fraction; otherwise evaluates
-    in complex floating point.
+    Exact when ``tau`` is an int or Fraction T/M: the falling factorial
+    prod_{i<j} (T - i M) is formed in ints and divided once, as one
+    ``Fraction`` over M^j j!.  Otherwise evaluates in complex floating
+    point.
     """
     if j < 0:
         raise ValueError("lower binomial index must be >= 0")
-    if isinstance(tau, int):
-        tau = Fraction(tau)
-    out = Fraction(1) if isinstance(tau, Fraction) else 1.0 + 0.0j
+    if isinstance(tau, (int, Fraction)):
+        t, m = tau.numerator, tau.denominator
+        falling = 1
+        for i in range(j):
+            falling *= t - i * m
+        return Fraction(falling, m ** j * _factorial(j))
+    out = 1.0 + 0.0j
     for i in range(j):
         out = out * (tau - i)
     return out / _factorial(j)
@@ -393,28 +399,36 @@ class TruncatedSeries(Record):
         return TruncatedSeries(self.base, [1] + [0] * self.order) / self
 
     def cpow(self, tau: Scalar) -> "TruncatedSeries":
-        """Principal complex power self**tau for constant term exactly 1.
-
-        J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7):
-        w_0 = 1 and k w_k = sum_{i=1..k} ((tau + 1) i - k) f_i w_{k-i},
-        the coefficient form of f w' = tau f' w.
-        """
-        if self.coeffs[0] != 1:
-            raise ValueError("cpow requires constant term exactly 1")
-        t1 = complex(tau) + 1.0
-        f = self.coeffs
-        w = [1.0 + 0.0j]
-        for k in range(1, self.order + 1):
-            acc = 0.0 + 0.0j
-            for i in range(1, k + 1):
-                acc += (t1 * i - k) * f[i] * w[k - i]
-            w.append(acc / k)
+        """Principal complex power self**tau for constant term exactly 1,
+        by the list kernel :func:`_miller_power`."""
+        w = _miller_power(self.coeffs, tau, self.order)
         return TruncatedSeries(self.base, w)
 
     def __repr__(self) -> str:
         head = ", ".join(f"{complex(c):.6g}" for c in self.coeffs[:5])
         tail = ", ..." if self.order >= 5 else ""
         return f"TruncatedSeries(base={self.base:.6g}, order={self.order}, [{head}{tail}])"
+
+
+def _miller_power(f: Sequence[Scalar], tau: Scalar, n: int) -> list:
+    """Coefficients w_0..w_n of f**tau, for f_0 exactly 1, as complex.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7):
+    w_0 = 1 and k w_k = sum_{i=1..k} ((tau + 1) i - k) f_i w_{k-i},
+    the coefficient form of f w' = tau f' w.  Reads f[:n + 1] only:
+    ``expansion.alpha_direct`` runs it on one list for every order.
+    """
+    if f[0] != 1:
+        raise ValueError("cpow requires constant term exactly 1")
+    t1 = complex(tau) + 1.0
+    terms = [(t1 * i, f[i]) for i in range(1, n + 1)]
+    w = [1.0 + 0.0j]
+    for k in range(1, n + 1):
+        acc = 0.0 + 0.0j
+        for (t1_i, f_i), w_ki in zip(terms, reversed(w)):   # i = 1..k
+            acc += (t1_i - k) * f_i * w_ki
+        w.append(acc / k)
+    return w
 
 
 def _scalar(x) -> Scalar:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import saddlepoint
-from saddlepoint import series
+from saddlepoint import cli, problemfile, series
 from saddlepoint.cli import main
 
 GAMMA_PROBLEM = """\
@@ -127,6 +127,33 @@ class TestExample:
         assert out == ""
         assert err.startswith("error: at N = 1e+308 the integrand "
                               "e^{N p(z)} q(z) is outside double precision")
+
+    @pytest.mark.parametrize("argv", [["example", "gamma", "--terms", "80"],
+                                      ["example", "kepler", "--n", "1e308"]],
+                             ids=["coefficient-overflow", "integrand-domain"])
+    def test_failed_run_builds_no_table(self, capsys, monkeypatch, argv):
+        # run_problem raises on both; the exact table must not be built
+        name = argv[1]
+        built = []
+        entry = problemfile.EXAMPLES[name]
+        monkeypatch.setitem(problemfile.EXAMPLES, name, entry._replace(
+            table=lambda *args: built.append(args) or entry.table(*args)))
+        code, out, err = run(capsys, argv)
+        assert (code, out, built) == (2, "", [])
+        assert "double precision" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+    def test_table_built_after_the_run(self, capsys, monkeypatch, fmt):
+        events = []
+        entry = problemfile.EXAMPLES["kepler"]
+        monkeypatch.setitem(problemfile.EXAMPLES, "kepler", entry._replace(
+            table=lambda *args: events.append("table") or entry.table(*args)))
+        monkeypatch.setattr(cli, "run_problem", lambda *args: events.append(
+            "run") or problemfile.run_problem(*args))
+        code, _, _ = run(capsys, ["example", "kepler", "--format", fmt])
+        # tsv prints no table, so it never builds one
+        assert code == 0
+        assert events == (["run"] if fmt == "tsv" else ["run", "table"])
 
     def test_bad_eps_is_input_error(self, capsys):
         code, _, err = run(capsys, ["example", "center", "--eps", "1.7"])

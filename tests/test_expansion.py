@@ -10,11 +10,12 @@ import pytest
 
 from saddlepoint.classic import gamma_normal_form
 from saddlepoint.expansion import (CirclePath, Endpoint, EvenOpposite, Through,
-                                   _cgamma, alpha_bell, alpha_direct,
-                                   assemble, bell_sums, vanishing_shift)
+                                   _cgamma, _warn_near_pole, alpha_bell,
+                                   alpha_direct, assemble, bell_sums,
+                                   vanishing_shift)
 from saddlepoint.problemfile import example_problem
 from saddlepoint.saddle import normalize
-from saddlepoint.series import TruncatedSeries
+from saddlepoint.series import TruncatedSeries, bell_hat_table
 
 
 def random_instance(rng, mu, order=9):
@@ -145,6 +146,182 @@ class TestOracleEquivalence:
                       zip(bell.alphas, direct.alphas)) / scale
             worst = max(worst, dev)
         assert worst < 1e-10, worst
+
+
+# ----------------------------------------------------------------------
+# The expansion as computed before the exponents became one list per
+# call and alpha_direct called Miller's list kernel: each exponent a
+# Fraction (exact a) or complex, converted where used, and one truncated
+# series powered per order (cpow itself is checked against the series
+# loop in test_series).  The reference the bit-identity tests use.
+# ----------------------------------------------------------------------
+
+def reference_exponent(s, a, mu):
+    if isinstance(a, (int, Fraction)):
+        return (Fraction(a) + s) / mu
+    return (complex(a) + s) / mu
+
+
+def reference_alpha_direct(nf, q, a, s_count):
+    base = nf.one_minus_phi()
+    out = []
+    for s in range(s_count):
+        e_s = reference_exponent(s, a, nf.mu)
+        w = base.truncate(s).cpow(-complex(e_s)).coeffs
+        c_s = sum(q.coeffs[s - i] * w[i] for i in range(s + 1))
+        out.append(cmath.exp(-complex(e_s) * cmath.log(nf.p0)) * c_s / nf.mu)
+    return tuple(out)
+
+
+def reference_float_bell_sums(q, ratios, a, mu, s_count):
+    table = bell_hat_table(s_count - 1, ratios)
+    out = []
+    for s in range(s_count):
+        tau = -(complex(reference_exponent(s, a, mu)))
+        binoms, falling = [], complex(1)
+        for j in range(s + 1):
+            binoms.append(falling / math.factorial(j))
+            falling = falling * (tau - j)
+        acc = complex(0)
+        for i in range(s + 1):
+            qc = q[s - i]
+            if qc == 0:
+                continue
+            bsum = complex(0)
+            for j in range(i + 1):
+                b = table[i][j]
+                if b == 0:
+                    continue
+                bsum += binoms[j] * b
+            acc += qc * bsum
+        out.append(acc)
+    return out
+
+
+def reference_alpha_bell(nf, q, a, s_count):
+    ratios = [-c for c in nf.phi.coeffs[1:s_count]]
+    sums = reference_float_bell_sums(q.coeffs, ratios, a, nf.mu, s_count)
+    return tuple([cmath.exp(-complex(reference_exponent(s, a, nf.mu))
+                            * cmath.log(nf.p0)) * c / nf.mu
+                  for s, c in enumerate(sums)])
+
+
+def reference_phase(k, e_s):
+    quarters = 4 * k * complex(e_s)
+    if quarters.imag == 0 and quarters.real.is_integer():
+        return (1 + 0j, 1j, -1 + 0j, -1j)[int(quarters.real) % 4]
+    return cmath.exp(2j * math.pi * k * complex(e_s))
+
+
+def reference_assemble(alphas, nf, branch):
+    """[(s, exponent, coefficient)] of each term."""
+    mu, a = nf.mu, alphas.a
+    if isinstance(branch, EvenOpposite):
+        branch = Through(branch.k + mu // 2, branch.k)
+    k_in, k_out = ((None, branch.k) if isinstance(branch, Endpoint)
+                   else (branch.k1, branch.k2))
+    terms = []
+    for s, alpha in enumerate(alphas.alphas):
+        e_s = reference_exponent(s, a, mu)
+        e = complex(e_s)
+        if e.imag == 0 and e.real <= 0 and e.real.is_integer():
+            m = int(e.real)
+            if not isinstance(branch, CirclePath):
+                raise ValueError(
+                    f"exponent (s+a)/mu = {m} at s = {s} hits a Gamma "
+                    f"pole; only a circling path has a finite replacement")
+            coeff = (2j * math.pi * branch.winding * (-1.0) ** m
+                     / math.factorial(abs(m))) * alpha
+        else:
+            if not isinstance(e_s, Fraction):
+                _warn_near_pole(complex(e_s), s)
+            phases = reference_phase(k_out, e_s)
+            if k_in is not None:
+                phases -= reference_phase(k_in, e_s)
+            coeff = 0j if phases == 0 else _cgamma(complex(e_s)) * alpha * phases
+        terms.append((s, complex(e_s), complex(coeff)))
+    return terms
+
+
+def bits(x):
+    """repr tells -0.0 from 0.0, so equal reprs are equal bits."""
+    return repr(x)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised, with the
+    messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn(*args)
+        except ValueError as exc:
+            value = (type(exc), str(exc))
+    return value, [str(w.message) for w in caught]
+
+
+WORKED = [("gamma", {}), ("kepler", {}), ("parabolic", {}),
+          ("center", {"eps": 0.1}), ("center", {"eps": 0.4}),
+          ("center", {"eps": 0.7})]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("s_count", [10, 40, 80])
+    @pytest.mark.parametrize("name, params", WORKED,
+                             ids=["gamma", "kepler", "parabolic", "center-0.1",
+                                  "center-0.4", "center-0.7"])
+    def test_worked_problems(self, name, params, s_count):
+        terms = s_count // 2 if name == "gamma" else s_count   # gamma: order 2t+1
+        problem = example_problem(name, terms=terms, **params).problem
+        nf, q, a = problem.normal_form, problem.q, problem.a
+        bell = alpha_bell(nf, q, a, s_count)
+        assert bits(bell.alphas) == bits(reference_alpha_bell(nf, q, a, s_count))
+        assert (bits(alpha_direct(nf, q, a, s_count).alphas)
+                == bits(reference_alpha_direct(nf, q, a, s_count)))
+        got = [(t.s, t.exponent, t.coefficient)
+               for t in assemble(bell, nf, problem.branch).terms]
+        assert bits(got) == bits(reference_assemble(bell, nf, problem.branch))
+
+    def test_random_instances(self):
+        rng = random.Random(211)
+        exponents = [1, Fraction(1, 2), -1, 0.3 + 0.7j]
+        for trial in range(40):
+            mu = rng.randint(1, 4)
+            order = rng.randint(1, 25)
+            nf, q = random_instance(rng, mu, order)
+            a = exponents[trial % 4]
+            s_count = rng.randint(1, order + 1)
+            ratios = [-c for c in nf.phi.coeffs[1:s_count]]
+            assert (bits(bell_sums(q.coeffs, ratios, a, mu, s_count))
+                    == bits(reference_float_bell_sums(q.coeffs, ratios, a, mu,
+                                                      s_count)))
+            assert (bits(alpha_bell(nf, q, a, s_count).alphas)
+                    == bits(reference_alpha_bell(nf, q, a, s_count)))
+            assert (bits(alpha_direct(nf, q, a, s_count).alphas)
+                    == bits(reference_alpha_direct(nf, q, a, s_count)))
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4])
+    def test_every_branch_variant(self, mu):
+        # a = -2 and -2.0 meet Gamma poles (replacement or error), and
+        # -2.0 + 1e-12 draws the near-pole warning
+        rng = random.Random(212 + mu)
+        nf, q = random_instance(rng, mu, 12)
+        branches = [Endpoint(0), Endpoint(1), Through(1, 0), Through(2, 2),
+                    CirclePath(1, 0), CirclePath(0, 3), CirclePath(1, 2)]
+        if mu % 2 == 0:
+            branches += [EvenOpposite(0), EvenOpposite(1)]
+        for a in (1, 2, Fraction(1, 2), Fraction(-7, 3), -1, -2, -2.0,
+                  -2.0 + 1e-12, 0.3 + 0.7j, 2.5):
+            alphas = alpha_bell(nf, q, a, 12)
+            for branch in branches:
+                got, got_warned = outcome(assemble, alphas, nf, branch)
+                want, want_warned = outcome(reference_assemble, alphas, nf,
+                                            branch)
+                if not isinstance(want, tuple):
+                    assert got.a == a and got.p_at_z0 == nf.p_at_z0
+                    got = [(t.s, t.exponent, t.coefficient) for t in got.terms]
+                assert bits(got) == bits(want), (a, branch)
+                assert got_warned == want_warned
 
 
 class TestAssemble:

@@ -356,6 +356,19 @@ ORACLE_CASES = [("gamma", 200.0, {}), ("parabolic", 400.0, {}),
                 ("center", 400.0, {"eps": 0.4}), ("gamma_half", 200.0, {})]
 
 
+class TestBatchGeometry:
+    @pytest.mark.parametrize("piece", [
+        Segment(0.05 + 0j, 4.0 - 0.5j),
+        Arc(1.0 + 0j, 0.25, math.pi, 0.0),
+        Arc(0.3 - 0.1j, 1.7, -0.4, 13.0),
+    ], ids=["segment", "arc", "winding-arc"])
+    def test_points_and_velocities_per_node(self, piece):
+        ts = [0.5 + 0.5 * x for x in _XK] + [0.0, 1.0]
+        points, velocities = piece.points_velocities(ts)
+        assert points == [piece.point(t) for t in ts]
+        assert velocities == [_reference_velocity(piece, t) for t in ts]
+
+
 class TestPanelMemo:
     @pytest.mark.parametrize("name, n, params", ORACLE_CASES,
                              ids=[c[0] for c in ORACLE_CASES])

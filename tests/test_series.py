@@ -269,6 +269,26 @@ class TestCpow:
         with pytest.raises(ValueError, match="constant"):
             TruncatedSeries(0.0, [2, 1]).cpow(0.5)
 
+    def test_bit_identical_to_series_loop(self):
+        # Miller's recurrence as cpow ran it on the series itself, with
+        # (tau + 1) i formed inside the inner loop
+        def reference(f, tau):
+            t1 = complex(tau) + 1.0
+            w = [1.0 + 0.0j]
+            for k in range(1, len(f)):
+                acc = 0.0 + 0.0j
+                for i in range(1, k + 1):
+                    acc += (t1 * i - k) * f[i] * w[k - i]
+                w.append(acc / k)
+            return w
+
+        rng = random.Random(109)
+        for order in (0, 1, 13, 40):
+            f = random_series(rng, order=order, constant=1.0)
+            for tau in (0.5, -3, Fraction(-7, 2), complex(rng.uniform(-9, 9),
+                                                         rng.uniform(-9, 9))):
+                assert repr(f.cpow(tau).coeffs) == repr(tuple(reference(f.coeffs, tau)))
+
 
 class TestRingLaws:
     def test_associativity_and_distributivity(self):
@@ -280,6 +300,29 @@ class TestRingLaws:
             scale = max(max(abs(c) for c in ((f * g) * h).coeffs), 1e-9)
             assert max_coeff_diff((f * g) * h, f * (g * h)) / scale < 1e-12
             assert max_coeff_diff(f * (g + h), f * g + f * h) / scale < 1e-12
+
+
+class TestBinomial:
+    @staticmethod
+    def reference(tau, j):
+        """C(tau, j) by j ``Fraction`` multiplications, then one division."""
+        out = Fraction(1)
+        for i in range(j):
+            out = out * (Fraction(tau) - i)
+        return out / math.factorial(j)
+
+    @pytest.mark.parametrize("tau", [0, 5, -4, Fraction(7, 2), Fraction(-7, 2),
+                                     Fraction(1, 3)], ids=str)
+    def test_integer_product_equals_fraction_product(self, tau):
+        for j in range(41):
+            got = binomial(tau, j)
+            assert type(got) is Fraction
+            assert got == self.reference(tau, j), j
+
+    def test_float_and_negative_index(self):
+        assert binomial(0.5, 3) == 0.5 * -0.5 * -1.5 / 6
+        with pytest.raises(ValueError, match="index"):
+            binomial(Fraction(1, 2), -1)
 
 
 class TestBernoulli:
