@@ -47,8 +47,7 @@ from typing import Optional, Sequence, Union
 
 from ._record import Record
 from .saddle import SaddleNormalForm
-from .series import (TruncatedSeries, _factorial, _miller_power, bell_hat_table,
-                     power_rows)
+from .series import TruncatedSeries, _miller_power, power_rows
 
 __all__ = [
     "AlphaSequence",
@@ -220,49 +219,41 @@ def bell_sums(q: Sequence, ratios: Sequence, a: ExponentParam, mu: int,
     ratios[:s_count - 1] are all ints or Fractions, complex floating
     point otherwise.
 
-    The exact sum is taken as c_s = sum_j C(tau_s, j) [x^s] q P^j, with
-    P(x) = sum_i ratios[i-1] x^i: :func:`series.power_rows` seeded with
-    q gives the gcd-reduced integer rows q P^j, each over its own
-    denominator.  With tau_s = T/M, M = mu a.den and
+    Both kinds of data take c_s = sum_j C(tau_s, j) [x^s] q P^j, with
+    tau_s = -(s+a)/mu and P(x) = sum_i ratios[i-1] x^i, folding in each
+    row q P^j of :func:`series.power_rows` seeded with q as it comes:
+    no Bell table is built.  The rows cost O(s_count^2) multiply-adds
+    each; the fold after them is O(s_count^2) in all.  In floating point
+    acc[s] += C(tau_s, j) row_j[s] over nonzero row_j[s], s >= j, with
+    the running quotient C(tau_s, j) = C(tau_s, j-1) (tau_s - j + 1)/j of
+    :func:`series.binomial`: no j! is formed, so a modest C(tau, j) stays
+    finite for any j.  On exact rows, gcd-reduced ints over their own
+    denominators, with tau_s = T/M, M = mu a.den and
     T = -(s a.den + a.num), an ascending Horner pass over j sums
     F_j row_j[s] M^(s-j) s!/j!, F_j = prod_{k<j} (T - k M), in ints over
     the lcm L_s of the denominators of rows 0..s, and c_s is one
     ``Fraction`` over L_s M^s s!: O(s) integer operations per
-    coefficient where the table sum took O(s^2) ``Fraction`` ones, each
-    with a gcd.  The float sum runs over the nonzero entries of
-    :func:`series.bell_hat_table`, with C(tau, j) from a running
-    falling factorial, the same operations as :func:`series.binomial`.
+    coefficient.
     """
     if s_count < 1:
         return []
     if len(q) < s_count:
         raise ValueError(f"need amplitude coefficients q_0..q_{s_count - 1}, "
                          f"got {len(q)}")
-    i_max = s_count - 1
     if all(isinstance(x, (int, Fraction))
-           for x in (a, *q[:s_count], *ratios[:i_max])):
+           for x in (a, *q[:s_count], *ratios[:s_count - 1])):
         return _exact_bell_sums(q, ratios, Fraction(a), mu, s_count)
-    table = bell_hat_table(i_max, ratios)
-    nonzero = [[(j, b) for j, b in enumerate(row[:i + 1]) if b != 0]
-               for i, row in enumerate(table)]
-    out = []
-    for s, e_s in enumerate(_exponents(a, mu, s_count)):
-        tau = -e_s
-        binoms, falling = [], complex(1)
-        for j in range(s + 1):
-            binoms.append(falling / _factorial(j))
-            falling = falling * (tau - j)
-        acc = complex(0)
-        for i in range(s + 1):
-            qc = q[s - i]
-            if qc == 0:
-                continue
-            bsum = complex(0)
-            for j, b in nonzero[i]:
-                bsum += binoms[j] * b
-            acc += qc * bsum
-        out.append(acc)
-    return out
+    taus = [-e_s for e_s in _exponents(a, mu, s_count)]
+    binoms = [1.0 + 0.0j] * s_count     # C(tau_s, j) for the current j
+    acc = [0j] * s_count
+    rows = power_rows([complex(c) for c in q[:s_count]],
+                      [complex(r) for r in ratios[:s_count - 1]], s_count)
+    for j, (row, _) in enumerate(rows):     # complex even for exact q, ratios
+        acc[j:] = [c + b * x if x else c
+                   for c, b, x in zip(acc[j:], binoms[j:], row[j:])]
+        binoms[j + 1:] = [b * (t - j) / (j + 1)
+                          for b, t in zip(binoms[j + 1:], taus[j + 1:])]
+    return acc
 
 
 def _exact_bell_sums(q: Sequence, ratios: Sequence, a: Fraction, mu: int,
@@ -314,8 +305,11 @@ def alpha_direct(nf: SaddleNormalForm, q: TruncatedSeries,
     Miller's recurrence, the kernel of :meth:`TruncatedSeries.cpow`
     run on the one coefficient list of 1 - phi, so no series object is
     built per order; then alpha_s = p0^(-(s+a)/mu) / mu *
-    sum_{i<=s} q_{s-i} w_i.  Shares no arithmetic with
-    :func:`bell_sums`, so it cross-checks the Bell route.
+    sum_{i<=s} q_{s-i} w_i.  When the nonzero phi_i sit at multiples of
+    a stride d > 1 (d = 2 for the odd phases of kepler and parabolic),
+    the recurrence runs over those indices only and the other w_i are
+    exact zeros, the values the dense recurrence gives.  Shares no
+    arithmetic with :func:`bell_sums`, so it cross-checks the Bell route.
     """
     _require_resolved(nf, q, s_count)
     base = nf.one_minus_phi().coeffs

@@ -9,14 +9,15 @@ exact; any other data is double-precision ``complex``.  A formula
 ``f(z, m)`` over these cmath names gives its Taylor series about z0 as
 ``f(TruncatedSeries.identity(z0, order), series)`` (Taylor-mode
 evaluation: Griewank & Walther, *Evaluating Derivatives*, SIAM 2008,
-ch. 13).  One exact kernel, :func:`power_rows`, forms the truncated
-powers seed(x) P(x)^j of a rational series as plain ints over one
+ch. 13).  One power kernel, :func:`power_rows`, forms the truncated
+powers seed(x) P(x)^j.  On rational data they are plain ints over one
 denominator per power, divided after each multiply by the gcd of the
 denominator and the row, so the integers stay near the size of the
 true coefficients (denominators of at most 93 digits for the Stirling
-arguments to j = 80, where the common scale D^80 has 2775).  The exact
-Bell table is this kernel seeded with 1, and the exact Bell sums of
-``expansion`` seed it with the amplitude series.
+arguments to j = 80, where the common scale D^80 has 2775); on any
+other data the same multiply runs in complex floating point.  The Bell
+table is this kernel seeded with 1, and the Bell sums of ``expansion``
+seed it with the amplitude series.
 
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to use concurrently.
@@ -90,7 +91,8 @@ def binomial(tau: Scalar, j: int) -> Scalar:
     Exact when ``tau`` is an int or Fraction T/M: the falling factorial
     prod_{i<j} (T - i M) is formed in ints and divided once, as one
     ``Fraction`` over M^j j!.  Otherwise evaluates in complex floating
-    point.
+    point as the running quotient C(tau, i + 1) = C(tau, i) (tau - i) /
+    (i + 1): no j! is formed, so it stays finite past j = 170.
     """
     if j < 0:
         raise ValueError("lower binomial index must be >= 0")
@@ -102,8 +104,8 @@ def binomial(tau: Scalar, j: int) -> Scalar:
         return Fraction(falling, m ** j * _factorial(j))
     out = 1.0 + 0.0j
     for i in range(j):
-        out = out * (tau - i)
-    return out / _factorial(j)
+        out = out * (tau - i) / (i + 1)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -136,47 +138,35 @@ def bell_hat(i: int, j: int, p: Sequence[Scalar]) -> Scalar:
 def bell_hat_table(i_max: int, p: Sequence[Scalar]) -> list:
     """Table t with t[i][j] = B^_{i,j} for 0 <= j <= i <= i_max.
 
-    Built by repeated truncated multiplication with the argument
-    series, which costs O(i_max^2) per power.  Exact inputs run the
-    integer kernel :func:`power_rows` seeded with 1 and take one
-    ``Fraction`` per table entry, from the gcd-reduced row of power j
-    over its denominator.  Any other input runs the same multiplication
-    in complex floating point.
+    Column j is row j of :func:`power_rows` seeded with 1, the power P^j
+    of the argument series at O(i_max^2) per power, for exact and float
+    data alike: one ``Fraction`` per entry from the gcd-reduced integer
+    row over its denominator for exact inputs, the complex row itself
+    for any other.
     """
     if i_max > 0 and len(p) < i_max:
         raise ValueError(f"need Bell arguments p_1..p_{i_max}, got {len(p)}")
-    args = [p[k] for k in range(i_max)]
-    if all(isinstance(a, (int, Fraction)) for a in args):
-        rows = list(power_rows([1], args, i_max + 1))
-        zero = Fraction(0)
-        return [[Fraction(row[i], den) if row[i] else zero for row, den in rows]
-                for i in range(i_max + 1)]
-    zero = 0.0 + 0.0j
-    terms = [(b, args[b - 1]) for b in range(1, i_max + 1)]
-    table = [[zero] * (i_max + 1) for _ in range(i_max + 1)]
-    table[0][0] = zero + 1
-    upto = list(range(i_max + 1))
-    power = [zero] * (i_max + 1)
-    power[0] = zero + 1
-    for j in range(1, i_max + 1):
-        power = _times_terms(power, terms, upto, j - 1, zero)
-        for i in range(j, i_max + 1):
-            table[i][j] = power[i]
-    return table
+    rows = list(power_rows([1], [p[k] for k in range(i_max)], i_max + 1))
+    exact = type(rows[0][0][0]) is int
+    zero = Fraction(0) if exact else 0j
+    return [[(Fraction(row[i], den) if exact else row[i]) if row[i] else zero
+             for row, den in rows] for i in range(i_max + 1)]
 
 
 def power_rows(seed: Sequence[Scalar], args: Sequence[Scalar],
                n: int) -> Iterator[tuple]:
-    """Exact truncated powers of the series P(x) = sum_k args[k-1] x^k.
+    """Truncated powers of the series P(x) = sum_k args[k-1] x^k.
 
-    Yields row j, for 0 <= j < n, as (ints, den) with
-    ints[i] / den = [x^i] seed(x) P(x)^j for 0 <= i < n; ``seed`` and
-    ``args[:n - 1]`` must be ints or Fractions.  The seed is scaled by
-    the lcm of its denominators and P by the lcm D of its own, so each
-    power is a product of plain ints (zero arguments skipped); after
-    each multiply the row and its denominator are divided by their gcd.
-    Costs O(n^2) integer multiply-adds per power.  A generator, so a
-    caller that folds each row in as it comes holds only one.
+    Yields row j, for 0 <= j < n, as (row, den) with
+    row[i] / den = [x^i] seed(x) P(x)^j for 0 <= i < n; reads
+    ``seed[:n]`` and ``args[:n - 1]``, skipping zero arguments.  When
+    all of them are ints or Fractions the rows are exact: the seed is
+    scaled by the lcm of its denominators and P by the lcm D of its own,
+    so each power is a product of plain ints, and after each multiply
+    the row and its denominator are divided by their gcd.  Otherwise
+    the rows are complex and den is 1.  Costs O(n^2) multiply-adds per
+    power.  A generator, so a caller that folds each row in as it comes
+    holds only one.
     """
     if n < 1:
         return
@@ -184,12 +174,17 @@ def power_rows(seed: Sequence[Scalar], args: Sequence[Scalar],
         raise ValueError(f"need power arguments p_1..p_{n - 1}, got {len(args)}")
     args = args[:n - 1]
     seed = seed[:n]
-    scale = math.lcm(*(a.denominator for a in args))
-    den = math.lcm(*(c.denominator for c in seed))
-    row = [c.numerator * (den // c.denominator) for c in seed]
-    row += [0] * (n - len(row))
-    terms = [(b, a.numerator * (scale // a.denominator))
-             for b, a in enumerate(args, 1) if a != 0]
+    exact = all(isinstance(c, (int, Fraction)) for c in (*seed, *args))
+    if exact:
+        scale = math.lcm(*(a.denominator for a in args))
+        den = math.lcm(*(c.denominator for c in seed))
+        row = [c.numerator * (den // c.denominator) for c in seed]
+        args = [a.numerator * (scale // a.denominator) for a in args]
+        zero = 0
+    else:
+        den, row, zero = 1, [complex(c) for c in seed], 0j
+    row += [zero] * (n - len(row))
+    terms = [(b, a) for b, a in enumerate(args, 1) if a != 0]
     upto = [0] * n          # number of terms with b <= k
     for b, _ in terms:
         upto[b] = 1
@@ -197,12 +192,13 @@ def power_rows(seed: Sequence[Scalar], args: Sequence[Scalar],
         upto[k] += upto[k - 1]
     yield row, den
     for j in range(1, n):
-        row = _times_terms(row, terms, upto, j - 1, 0)
-        den *= scale
-        g = math.gcd(den, *row)
-        if g > 1:
-            den //= g
-            row = [x // g for x in row]
+        row = _times_terms(row, terms, upto, j - 1, zero)
+        if exact:
+            den *= scale
+            g = math.gcd(den, *row)
+            if g > 1:
+                den //= g
+                row = [x // g for x in row]
         yield row, den
 
 
@@ -417,17 +413,27 @@ def _miller_power(f: Sequence[Scalar], tau: Scalar, n: int) -> list:
     w_0 = 1 and k w_k = sum_{i=1..k} ((tau + 1) i - k) f_i w_{k-i},
     the coefficient form of f w' = tau f' w.  Reads f[:n + 1] only:
     ``expansion.alpha_direct`` runs it on one list for every order.
+
+    With d the gcd of the indices i >= 1 of the nonzero f_i (d = 2 for
+    the kepler and parabolic 1 - phi), the sum runs over i = d, 2d, ...
+    only and every w_k with d not dividing k is 0j.  For finite data
+    that is the dense recurrence bit for bit: each skipped term is a
+    signed zero, added to an accumulator that starts at +0 and so never
+    holds -0.
     """
     if f[0] != 1:
         raise ValueError("cpow requires constant term exactly 1")
+    d = math.gcd(*[i for i in range(1, n + 1) if f[i] != 0]) or n + 1
     t1 = complex(tau) + 1.0
-    terms = [(t1 * i, f[i]) for i in range(1, n + 1)]
-    w = [1.0 + 0.0j]
-    for k in range(1, n + 1):
+    terms = [(t1 * i, f[i]) for i in range(d, n + 1, d)]
+    ws = [1.0 + 0.0j]       # w_0, w_d, w_2d, ...
+    for k in range(d, n + 1, d):
         acc = 0.0 + 0.0j
-        for (t1_i, f_i), w_ki in zip(terms, reversed(w)):   # i = 1..k
+        for (t1_i, f_i), w_ki in zip(terms, reversed(ws)):   # i = d, 2d, ..., k
             acc += (t1_i - k) * f_i * w_ki
-        w.append(acc / k)
+        ws.append(acc / k)
+    w = [0j] * (n + 1)
+    w[::d] = ws
     return w
 
 

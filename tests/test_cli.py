@@ -128,7 +128,8 @@ class TestExample:
         assert err.startswith("error: at N = 1e+308 the integrand "
                               "e^{N p(z)} q(z) is outside double precision")
 
-    @pytest.mark.parametrize("argv", [["example", "gamma", "--terms", "80"],
+    @pytest.mark.parametrize("argv", [["example", "center", "--eps", "0.999999",
+                                       "--terms", "80"],
                                       ["example", "kepler", "--n", "1e308"]],
                              ids=["coefficient-overflow", "integrand-domain"])
     def test_failed_run_builds_no_table(self, capsys, monkeypatch, argv):
@@ -210,8 +211,10 @@ class TestExample:
         (["gamma", "--n", "inf"], "finite"),
         (["kepler", "--tol", "-1"], "--tol"),
         (["gamma", "--tol", "nan"], "--tol"),
-        (["center", "--terms", "170"], "overflows"),
-        (["kepler", "--terms", "172"], "overflows"),
+        # |alpha_s| passes 1e308 near s = 70 as the saddle nears degeneracy
+        (["center", "--eps", "0.999999", "--terms", "80"], "overflows"),
+        # Gamma(e_s) overflows for e_s = s/2 > 171.6
+        (["center", "--terms", "400"], "overflows"),
         (["gamma", "--n", "1e-100"], "overflows"),
     ])
     def test_bad_n_or_tol_is_input_error(self, capsys, argv, message):
@@ -219,6 +222,20 @@ class TestExample:
         assert code == 2
         assert out == ""
         assert "error:" in err and message in err
+
+    def test_terms_past_the_factorial_range(self, capsys):
+        # the Bell route forms C(tau, j) as a running quotient, not over j!,
+        # so an order past 171 (171! > 1.8e308) still gives finite terms
+        outcomes = []
+        for terms in ("171", "172"):
+            code, out, _ = run(capsys, ["example", "kepler", "--terms", terms,
+                                        "--format", "json"])
+            payload = json.loads(out)
+            assert len(payload["terms"]) == int(terms)
+            assert all(math.isfinite(t["coefficient"][part])
+                       for t in payload["terms"] for part in ("re", "im"))
+            outcomes.append(code)
+        assert outcomes[0] == outcomes[1]
 
     def test_sylvester_json(self, capsys):
         code, out, _ = run(capsys, ["example", "sylvester", "--n", "2000",

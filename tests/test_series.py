@@ -67,6 +67,20 @@ def reference_bell_sums(q, ratios, a, mu, s_count):
     return out
 
 
+def dense_miller(f, tau, n):
+    """Miller's recurrence over every i = 1..k, zero f_i included, with
+    (tau + 1) i formed inside the inner loop: the reference for the
+    strided kernel."""
+    t1 = complex(tau) + 1.0
+    w = [1.0 + 0.0j]
+    for k in range(1, n + 1):
+        acc = 0.0 + 0.0j
+        for i in range(1, k + 1):
+            acc += (t1 * i - k) * f[i] * w[k - i]
+        w.append(acc / k)
+    return w
+
+
 def assert_exact_table(table, want):
     assert table == want
     assert all(type(x) is Fraction for row in table for x in row)
@@ -270,24 +284,61 @@ class TestCpow:
             TruncatedSeries(0.0, [2, 1]).cpow(0.5)
 
     def test_bit_identical_to_series_loop(self):
-        # Miller's recurrence as cpow ran it on the series itself, with
-        # (tau + 1) i formed inside the inner loop
-        def reference(f, tau):
-            t1 = complex(tau) + 1.0
-            w = [1.0 + 0.0j]
-            for k in range(1, len(f)):
-                acc = 0.0 + 0.0j
-                for i in range(1, k + 1):
-                    acc += (t1 * i - k) * f[i] * w[k - i]
-                w.append(acc / k)
-            return w
-
+        # Miller's recurrence as cpow ran it on the series itself
         rng = random.Random(109)
         for order in (0, 1, 13, 40):
             f = random_series(rng, order=order, constant=1.0)
             for tau in (0.5, -3, Fraction(-7, 2), complex(rng.uniform(-9, 9),
                                                          rng.uniform(-9, 9))):
-                assert repr(f.cpow(tau).coeffs) == repr(tuple(reference(f.coeffs, tau)))
+                assert (repr(f.cpow(tau).coeffs)
+                        == repr(tuple(dense_miller(f.coeffs, tau, order))))
+
+
+class TestStridedMiller:
+    """The kernel sums over the multiples of the gcd d of the nonzero
+    indices only; the dense recurrence must give the same bits."""
+
+    @staticmethod
+    def sparse_series(rng, gcd, order):
+        # nonzero f_i exactly at i = gcd and at random further multiples
+        f = [1.0 + 0.0j] + [0j] * order
+        for i in range(gcd, order + 1, gcd):
+            if i == gcd or rng.random() < 0.7:
+                f[i] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return f
+
+    @pytest.mark.parametrize("a", [1, -1], ids=["kepler", "parabolic"])
+    def test_sine_phase_one_minus_phi(self, a):
+        # 1 - phi of z - sin z has only even powers, so d = 2
+        s_count = 80
+        base = classic.kepler_normal_form(s_count).one_minus_phi().coeffs
+        assert all(c == 0 for c in base[1::2]) and base[2] != 0
+        for s in range(s_count):
+            tau = -(s + a) / 3
+            got = series._miller_power(base, tau, s)
+            assert repr(got) == repr(dense_miller(base, tau, s)), s
+            assert all(repr(w) == "0j" for w in got[1::2])
+
+    @pytest.mark.parametrize("gcd", [1, 2, 3])
+    def test_random_series_by_gcd(self, gcd):
+        rng = random.Random(150 + gcd)
+        for _ in range(20):
+            order = rng.randint(0, 40)
+            f = self.sparse_series(rng, gcd, order)
+            for tau in (0.5, -3, Fraction(-7, 2),
+                        complex(rng.uniform(-9, 9), rng.uniform(-9, 9))):
+                want = repr(dense_miller(f, tau, order))
+                assert repr(series._miller_power(f, tau, order)) == want
+                assert repr(list(TruncatedSeries(0.0, f).cpow(tau).coeffs)) == want
+
+    def test_no_nonzero_index(self):
+        # f = 1 to the truncation order: every w_k past w_0 is +0
+        for order in (0, 1, 6):
+            f = [1.0 + 0.0j] + [0j] * order
+            assert (repr(TruncatedSeries(0.0, f).cpow(-2.5).coeffs)
+                    == repr(tuple(dense_miller(f, -2.5, order))))
+        # a nonzero f_i past n is not read
+        assert series._miller_power([1, 0, 0, 5], 0.5, 2) == [1, 0, 0]
 
 
 class TestRingLaws:
@@ -318,6 +369,14 @@ class TestBinomial:
             got = binomial(tau, j)
             assert type(got) is Fraction
             assert got == self.reference(tau, j), j
+
+    @pytest.mark.parametrize("tau, j", [(0.5, 171), (-80.5, 200)])
+    def test_float_past_the_factorial_range(self, tau, j):
+        # j! passes the double range at j = 171; C(tau, j) need not
+        mpmath = pytest.importorskip("mpmath")
+        got = binomial(tau, j)
+        want = complex(mpmath.binomial(mpmath.mpf(tau), j))
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_float_and_negative_index(self):
         assert binomial(0.5, 3) == 0.5 * -0.5 * -1.5 / 6
