@@ -10,6 +10,13 @@ Three commands:
   the partition-wave asymptotics.
 * ``selftest`` runs the invariant suite and sets the exit status.
 
+Every command prints one report shape through ``_emit``: an ordered
+list of fields, each a (JSON key or None, JSON value, text or None)
+triple, and a TSV table (header, rows).  ``--format json`` prints the
+keyed fields as one object, ``text`` the texts in order, and ``tsv``
+the table; ``expand`` and ``example`` share their run's fields
+(``_run_fields``) and table.
+
 Exit codes: 0 success, 1 invariant or agreement failure (at some N the
 oracle did not converge or agrees to fewer than MIN_EXAMPLE_DIGITS
 digits), 2 input error.  All numbers are printed with 17 significant
@@ -62,26 +69,53 @@ def _coefficient_cell(value) -> str:
     return fmt_complex(value)
 
 
-def _print_term_table(terms, out) -> None:
-    out.write("terms (s, exponent, coefficient):\n")
-    for t in terms:
-        flag = "  (zero)" if t.is_zero else ""
-        out.write(f"  {t.s:3d}  {fmt_complex(t.exponent)}  "
-                  f"{fmt_complex(t.coefficient)}{flag}\n")
+def _emit(fmt: str, fields, table) -> None:
+    """Print the report whose ``fields()`` yield its triples in order and
+    whose ``table()`` gives its TSV (header, rows); each is called only
+    by the formats that print it."""
+    if fmt == "json":
+        report = json.dumps({key: value for key, value, _ in fields()
+                             if key is not None}, indent=2) + "\n"
+    elif fmt == "tsv":
+        header, rows = table()
+        report = "".join("\t".join(map(str, row)) + "\n"
+                         for row in (header, *rows))
+    else:
+        report = "".join(text for _, _, text in fields() if text is not None)
+    sys.stdout.write(report)
 
 
-def _terms_json(terms) -> list:
-    return [{"s": t.s,
+def _parameters_field(parameters: dict) -> tuple:
+    listed = ", ".join(f"{k} = {fmt_float(v) if isinstance(v, float) else v}"
+                       for k, v in parameters.items())
+    return ("parameters", parameters, f"parameters: {listed}\n")
+
+
+def _run_fields(run):
+    """The fields ``expand`` and ``example`` share: the route deviation
+    and the term list, with the warning when every term vanishes."""
+    terms = run.expansion.terms
+    yield ("alpha_route_deviation", run.route_deviation,
+           f"alpha cross-route deviation: {run.route_deviation:.3e}\n")
+    yield ("terms",
+           [{"s": t.s,
              "exponent": json_complex(t.exponent),
              "coefficient": json_complex(t.coefficient),
-             "zero": t.is_zero} for t in terms]
+             "zero": t.is_zero} for t in terms],
+           "terms (s, exponent, coefficient):\n" + "".join(
+               f"  {t.s:3d}  {fmt_complex(t.exponent)}  "
+               f"{fmt_complex(t.coefficient)}{'  (zero)' if t.is_zero else ''}\n"
+               for t in terms))
+    if all(t.is_zero for t in terms):
+        yield (None, None,
+               "warning: every term vanishes (entry and exit phases cancel)\n")
 
 
-def _terms_tsv(terms, out) -> None:
-    out.write("s\texp_re\texp_im\tcoeff_re\tcoeff_im\n")
-    for t in terms:
-        out.write(f"{t.s}\t{fmt_float(t.exponent.real)}\t{fmt_float(t.exponent.imag)}"
-                  f"\t{fmt_float(t.coefficient.real)}\t{fmt_float(t.coefficient.imag)}\n")
+def _run_table(run) -> tuple:
+    return (("s", "exp_re", "exp_im", "coeff_re", "coeff_im"),
+            [(t.s, fmt_float(t.exponent.real), fmt_float(t.exponent.imag),
+              fmt_float(t.coefficient.real), fmt_float(t.coefficient.imag))
+             for t in run.expansion.terms])
 
 
 def _status(run) -> int:
@@ -106,7 +140,6 @@ def _input_error(exc: Exception) -> str:
 
 
 def cmd_expand(args) -> int:
-    out = sys.stdout
     try:
         problem = parse_problem_file(args.file)
         run = run_problem(problem, args.tol)
@@ -114,50 +147,37 @@ def cmd_expand(args) -> int:
         print(f"error: {args.file}: {_input_error(exc)}", file=sys.stderr)
         return 2
     nf = problem.normal_form
-    expansion = run.expansion
+    variant = type(problem.branch).__name__
 
-    if args.format == "json":
-        payload = {
-            "problem": args.file,
-            "mu": nf.mu,
-            "p0": json_complex(nf.p0),
-            "omega0": nf.omega0,
-            "variant": type(problem.branch).__name__,
-            "order": problem.order,
-            "alpha_route_deviation": run.route_deviation,
-            "terms": _terms_json(expansion.terms),
-            "validation": [
-                {"n": v.n, "expansion": json_complex(v.value),
+    def fields():
+        yield ("problem", args.file, f"problem: {args.file}\n")
+        yield ("mu", nf.mu,
+               f"saddle: z0 = {fmt_complex(nf.z0)}  mu = {nf.mu}  "
+               f"p0 = {fmt_complex(nf.p0)}  omega0 = {fmt_float(nf.omega0)}\n")
+        yield ("p0", json_complex(nf.p0), None)
+        yield ("omega0", nf.omega0, None)
+        yield ("variant", variant, f"variant: {variant} {problem.branch}\n")
+        yield ("order", problem.order, None)
+        yield from _run_fields(run)
+        yield ("validation",
+               [{"n": v.n, "expansion": json_complex(v.value),
                  "quadrature": json_complex(v.oracle.value),
                  "quadrature_error": v.oracle.error_estimate,
                  "evaluations": v.oracle.evaluations,
                  "converged": v.oracle.converged,
                  "agreement_digits": v.digits}
                 for v in run.validations],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "tsv":
-        _terms_tsv(expansion.terms, out)
-    else:
-        out.write(f"problem: {args.file}\n")
-        out.write(f"saddle: z0 = {fmt_complex(nf.z0)}  mu = {nf.mu}  "
-                  f"p0 = {fmt_complex(nf.p0)}  omega0 = {fmt_float(nf.omega0)}\n")
-        out.write(f"variant: {type(problem.branch).__name__} {problem.branch}\n")
-        out.write(f"alpha cross-route deviation: {run.route_deviation:.3e}\n")
-        _print_term_table(expansion.terms, out)
-        if all(t.is_zero for t in expansion.terms):
-            out.write("warning: every term vanishes "
-                      "(entry and exit phases cancel)\n")
-        for v in run.validations:
-            out.write(f"validation at N = {fmt_float(v.n)}:\n")
-            out.write(f"  expansion  = {fmt_complex(v.value)}\n")
-            out.write(f"  quadrature = {_quadrature_line(v.oracle)}")
-            out.write(f"  agreement digits: {v.digits}\n")
+               "".join(f"validation at N = {fmt_float(v.n)}:\n"
+                       f"  expansion  = {fmt_complex(v.value)}\n"
+                       f"  quadrature = {_quadrature_line(v.oracle)}"
+                       f"  agreement digits: {v.digits}\n"
+                       for v in run.validations))
+
+    _emit(args.format, fields, lambda: _run_table(run))
     return _status(run)
 
 
 def cmd_example(args) -> int:
-    out = sys.stdout
     if args.name == "sylvester":
         return _cmd_example_sylvester(args)
     try:
@@ -168,46 +188,34 @@ def cmd_example(args) -> int:
         print(f"error: {_input_error(exc)}", file=sys.stderr)
         return 2
     (point,) = run.validations
+    oracle = point.oracle
     status = _status(run)
 
-    if args.format == "json":
-        payload = {
-            "example": example.name,
-            "parameters": example.parameters,
-            "coefficients": [_coefficient_cell(c) for c in example.coefficient_table],
-            "alpha_route_deviation": run.route_deviation,
-            "terms": _terms_json(run.expansion.terms),
-            "expansion_value": json_complex(point.value),
-            "quadrature_value": json_complex(point.oracle.value),
-            "quadrature_error": point.oracle.error_estimate,
-            "evaluations": point.oracle.evaluations,
-            "converged": point.oracle.converged,
-            "agreement_digits": point.digits,
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "tsv":
-        _terms_tsv(run.expansion.terms, out)
-    else:
-        out.write(f"example: {example.name}\n")
-        params = ", ".join(f"{k} = {fmt_float(v) if isinstance(v, float) else v}"
-                           for k, v in example.parameters.items())
-        out.write(f"parameters: {params}\n")
-        out.write("coefficient table:\n")
-        for s, c in enumerate(example.coefficient_table):
-            out.write(f"  {s:3d}  {_coefficient_cell(c)}\n")
-        out.write(f"alpha cross-route deviation: {run.route_deviation:.3e}\n")
-        _print_term_table(run.expansion.terms, out)
-        out.write(f"expansion value:  {fmt_complex(point.value)}\n")
-        out.write(f"quadrature value: {_quadrature_line(point.oracle)}")
-        out.write(f"agreement: {point.digits} digits\n")
+    def fields():
+        cells = [_coefficient_cell(c) for c in example.coefficient_table]
+        yield ("example", example.name, f"example: {example.name}\n")
+        yield _parameters_field(example.parameters)
+        yield ("coefficients", cells, "coefficient table:\n" + "".join(
+            f"  {s:3d}  {cell}\n" for s, cell in enumerate(cells)))
+        yield from _run_fields(run)
+        yield ("expansion_value", json_complex(point.value),
+               f"expansion value:  {fmt_complex(point.value)}\n")
+        yield ("quadrature_value", json_complex(oracle.value),
+               f"quadrature value: {_quadrature_line(oracle)}")
+        yield ("quadrature_error", oracle.error_estimate, None)
+        yield ("evaluations", oracle.evaluations, None)
+        yield ("converged", oracle.converged, None)
+        yield ("agreement_digits", point.digits,
+               f"agreement: {point.digits} digits\n")
         if status:
-            out.write("agreement FAILURE\n")
+            yield (None, None, "agreement FAILURE\n")
+
+    _emit(args.format, fields, lambda: _run_table(run))
     return status
 
 
 def _cmd_example_sylvester(args) -> int:
     from . import waves         # only this command needs it: keeps start-up short
-    out = sys.stdout
     terms = 3 if args.terms is None else args.terms
     try:
         if terms < 1:
@@ -237,58 +245,45 @@ def _cmd_example_sylvester(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wc = waves.solve_constants()
-    if args.format == "json":
-        payload = {
-            "example": "sylvester",
-            "parameters": {"n": n, "lambda": fmt_rational(lam), "terms": terms},
-            "w0": json_complex(wc.w0),
-            "z0": json_complex(wc.z0_wave),
-            "p0": json_complex(wc.p0_wave),
-            "coefficients": [json_complex(c) for c in expansion.coeffs],
-            "main_terms": [{"terms": t, "value": v} for t, v in values],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "tsv":
-        out.write("terms\tvalue\n")
-        for t, v in values:
-            out.write(f"{t}\t{fmt_float(v)}\n")
-    else:
-        out.write("example: sylvester\n")
-        out.write(f"parameters: n = {n}, lambda = {fmt_rational(lam)}, "
-                  f"terms = {terms}\n")
-        out.write(f"w0 = {fmt_complex(wc.w0)}\n")
-        out.write(f"z0 = {fmt_complex(wc.z0_wave)}\n")
-        out.write(f"p0 = {fmt_complex(wc.p0_wave)}\n")
-        out.write("wave coefficients a_t:\n")
-        for t, c in enumerate(expansion.coeffs):
-            out.write(f"  {t}  {fmt_complex(c)}\n")
-        out.write("leading-wave values:\n")
-        for t, v in values:
-            out.write(f"  {t} term(s): {fmt_float(v)}\n")
+
+    def fields():
+        yield ("example", "sylvester", "example: sylvester\n")
+        yield _parameters_field({"n": n, "lambda": fmt_rational(lam),
+                                 "terms": terms})
+        for key, z in (("w0", wc.w0), ("z0", wc.z0_wave), ("p0", wc.p0_wave)):
+            yield (key, json_complex(z), f"{key} = {fmt_complex(z)}\n")
+        yield ("coefficients", [json_complex(c) for c in expansion.coeffs],
+               "wave coefficients a_t:\n" + "".join(
+                   f"  {t}  {fmt_complex(c)}\n"
+                   for t, c in enumerate(expansion.coeffs)))
+        yield ("main_terms", [{"terms": t, "value": v} for t, v in values],
+               "leading-wave values:\n" + "".join(
+                   f"  {t} term(s): {fmt_float(v)}\n" for t, v in values))
+
+    _emit(args.format, fields,
+          lambda: (("terms", "value"), [(t, fmt_float(v)) for t, v in values]))
     return 0
 
 
 def cmd_selftest(args) -> int:
     from . import selftest      # only this command needs it: keeps start-up short
-    out = sys.stdout
     results = selftest.run_all()
-    failed = [r for r in results if not r.ok]
-    if args.format == "json":
-        payload = {
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-            "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
-                       for r in results],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "tsv":
-        out.write("name\tok\tdetail\n")
-        for r in results:
-            out.write(f"{r.name}\t{int(r.ok)}\t{r.detail}\n")
-    else:
-        for r in results:
-            out.write(f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}\n")
-        out.write(f"{len(results) - len(failed)} passed, {len(failed)} failed\n")
+    failed = sum(not r.ok for r in results)
+    passed = len(results) - failed
+
+    def fields():
+        yield ("passed", passed, None)
+        yield ("failed", failed, None)
+        yield ("checks",
+               [{"name": r.name, "ok": r.ok, "detail": r.detail}
+                for r in results],
+               "".join(f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}\n"
+                       for r in results)
+               + f"{passed} passed, {failed} failed\n")
+
+    _emit(args.format, fields,
+          lambda: (("name", "ok", "detail"),
+                   [(r.name, int(r.ok), r.detail) for r in results]))
     return 1 if failed else 0
 
 

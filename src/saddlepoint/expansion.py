@@ -12,8 +12,9 @@ on ``Fraction`` data it also gives the exact tables of ``classic``)
 and per-order series powering by J.C.P. Miller's recurrence
 (``alpha_direct``), which shares no arithmetic with ``bell_sums``.
 All fractional powers of p0 and N are principal; the contour enters
-only through the sector phases of :func:`assemble`, one rule for every
-variant: the coefficient of N^(-e_s), e_s = (s+a)/mu, is
+only through the sector phases of :func:`term_factors`, which
+:func:`assemble` applies, one rule for every variant: the coefficient
+of N^(-e_s), e_s = (s+a)/mu, is
 
     Gamma(e_s) alpha_s (e^{2 pi i k_out e_s} - e^{2 pi i k_in e_s})
 
@@ -62,6 +63,7 @@ __all__ = [
     "alpha_bell",
     "alpha_direct",
     "assemble",
+    "term_factors",
     "vanishing_shift",
     "VanishingShiftReport",
 ]
@@ -349,6 +351,52 @@ def _phase(k: int, e_s: complex) -> complex:
     return cmath.exp(2j * math.pi * k * e_s)
 
 
+def term_factors(a: ExponentParam, mu: int, branch: BranchSpec,
+                 s_count: int) -> list:
+    """The factors of each term that do not depend on alpha_s.
+
+    Entry s is (e_s, gamma, weight).  A term with sector phases is
+    gamma alpha_s weight, gamma = Gamma(e_s) and weight the phase
+    difference; a term whose phases cancel has gamma and weight None
+    (an exact zero); a CirclePath term at a Gamma pole has gamma None
+    and weight its finite replacement factor.  They depend on a, mu,
+    the branch and S only, so a pipeline can call this before forming
+    any coefficient: a Gamma(e_s) that overflows double precision
+    raises ``OverflowError``, and a variant that does not fit the
+    saddle or hits a Gamma pole raises ``ValueError``.
+    """
+    if isinstance(branch, EvenOpposite):
+        if mu % 2 != 0:
+            raise ValueError("opposite-sector variant requires even mu")
+        branch = Through(branch.k + mu // 2, branch.k)
+    if isinstance(branch, Endpoint):
+        k_in, k_out = None, branch.k
+    elif isinstance(branch, (Through, CirclePath)):
+        k_in, k_out = branch.k1, branch.k2
+    else:
+        raise TypeError(f"unknown branch variant {branch!r}")
+    exact = isinstance(a, (int, Fraction))
+    factors = []
+    for s, e_s in enumerate(_exponents(a, mu, s_count)):
+        m = _degenerate_order(e_s)
+        if m is None:
+            if not exact:
+                _warn_near_pole(e_s, s)
+            phases = _phase(k_out, e_s)
+            if k_in is not None:
+                phases -= _phase(k_in, e_s)
+            factors.append((e_s, None, None) if phases == 0
+                           else (e_s, _cgamma(e_s), phases))
+        elif isinstance(branch, CirclePath):
+            factors.append((e_s, None, 2j * math.pi * branch.winding
+                            * (-1.0) ** m / math.factorial(abs(m))))
+        else:
+            raise ValueError(
+                f"exponent (s+a)/mu = {m} at s = {s} hits a Gamma "
+                f"pole; only a circling path has a finite replacement")
+    return factors
+
+
 def assemble(alphas: AlphaSequence, nf: SaddleNormalForm,
              branch: BranchSpec) -> AsymptoticExpansion:
     """Attach Gamma factors and sector phases to an alpha sequence.
@@ -362,37 +410,17 @@ def assemble(alphas: AlphaSequence, nf: SaddleNormalForm,
     replacement 2 pi i (k2 - k1) (-1)^m / |m|! alpha_s; under any other
     variant it is a hard error.
     """
-    mu = nf.mu
     a = alphas.a
-    if isinstance(branch, EvenOpposite):
-        if mu % 2 != 0:
-            raise ValueError("opposite-sector variant requires even mu")
-        branch = Through(branch.k + mu // 2, branch.k)
-    if isinstance(branch, Endpoint):
-        k_in, k_out = None, branch.k
-    elif isinstance(branch, (Through, CirclePath)):
-        k_in, k_out = branch.k1, branch.k2
-    else:
-        raise TypeError(f"unknown branch variant {branch!r}")
-    exact = isinstance(a, (int, Fraction))
-    exponents = _exponents(a, mu, len(alphas.alphas))
+    factors = term_factors(a, nf.mu, branch, len(alphas.alphas))
     terms = []
-    for s, (e_s, alpha) in enumerate(zip(exponents, alphas.alphas)):
-        m = _degenerate_order(e_s)
-        if m is None:
-            if not exact:
-                _warn_near_pole(e_s, s)
-            phases = _phase(k_out, e_s)
-            if k_in is not None:
-                phases -= _phase(k_in, e_s)
-            coeff = 0j if phases == 0 else _cgamma(e_s) * alpha * phases
-        elif isinstance(branch, CirclePath):
-            coeff = (2j * math.pi * branch.winding * (-1.0) ** m
-                     / math.factorial(abs(m))) * alpha
-        else:
-            raise ValueError(
-                f"exponent (s+a)/mu = {m} at s = {s} hits a Gamma "
-                f"pole; only a circling path has a finite replacement")
+    for s, ((e_s, gamma, weight), alpha) in enumerate(
+            zip(factors, alphas.alphas)):
+        if gamma is not None:
+            coeff = gamma * alpha * weight
+        elif weight is not None:    # the replacement at a Gamma pole
+            coeff = weight * alpha
+        else:                       # the sector phases cancel
+            coeff = 0j
         terms.append(Term(s, e_s, complex(coeff)))
     return AsymptoticExpansion(p_at_z0=nf.p_at_z0, terms=tuple(terms), a=a)
 

@@ -55,7 +55,7 @@ from .classic import (agreement_digits, center_amplitude, center_contour,
                       parabolic_d_table, taylor)
 from .expansion import (BranchSpec, CirclePath, Endpoint, EvenOpposite,
                         ExponentParam, Through, alpha_bell, alpha_direct,
-                        assemble)
+                        assemble, term_factors)
 from .quadrature import (DEFAULT_REL_TOL, Arc, Contour, Segment, integrate,
                          integrate_power_factor)
 from .saddle import normalize
@@ -498,8 +498,11 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
     does not fit the saddle raises ``ValueError``, and so does an N at
     which N p(z) is not finite on the contour; a coefficient that
     overflows double precision on either route raises ``OverflowError``.
+    ``term_factors`` is called first as a check, so a Gamma(e_s) past
+    double precision raises ``OverflowError`` before either route runs.
     """
     nf = problem.normal_form
+    term_factors(problem.a, nf.mu, problem.branch, problem.order)
     alphas = alpha_bell(nf, problem.q, problem.a, problem.order)
     cross = alpha_direct(nf, problem.q, problem.a, problem.order)
     if not all(cmath.isfinite(x) for x in alphas.alphas + cross.alphas):

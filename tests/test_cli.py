@@ -1,17 +1,22 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import saddlepoint
-from saddlepoint import cli, problemfile, series
+from saddlepoint import cli, problemfile, quadrature, series
 from saddlepoint.cli import main
 
 GAMMA_PROBLEM = """\
@@ -34,6 +39,16 @@ k = 0
 order = 8
 contour = {contour}
 n_values = [40.0]
+"""
+
+
+#: entry and exit through one sector: every term cancels
+EQUAL_SECTORS = """\
+p = {"builtin": "kepler", "order": 12}
+variant = "through"
+k1 = 1
+k2 = 1
+order = 4
 """
 
 
@@ -142,6 +157,20 @@ class TestExample:
         code, out, err = run(capsys, argv)
         assert (code, out, built) == (2, "", [])
         assert "double precision" in err
+
+    @pytest.mark.parametrize("argv", [["center", "--terms", "400"],
+                                      ["gamma", "--terms", "200"],
+                                      ["kepler", "--terms", "600"]])
+    def test_gamma_overflow_before_the_routes(self, capsys, monkeypatch, argv):
+        # Gamma(e_s) passes 1e308 past e_s = 171.6, which the order alone
+        # fixes: the run stops before either coefficient route starts
+        called = []
+        for route in ("alpha_bell", "alpha_direct"):
+            monkeypatch.setattr(problemfile, route,
+                                lambda *args, route=route: called.append(route))
+        code, out, err = run(capsys, ["example", *argv])
+        assert (code, out, called) == (2, "", [])
+        assert "overflows double precision" in err
 
     @pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
     def test_table_built_after_the_run(self, capsys, monkeypatch, fmt):
@@ -321,15 +350,8 @@ order = 4
         assert "even mu" in err
 
     def test_equal_sector_warning(self, tmp_path, capsys):
-        text = """\
-p = {"builtin": "kepler", "order": 12}
-variant = "through"
-k1 = 1
-k2 = 1
-order = 4
-"""
         path = tmp_path / "same.txt"
-        path.write_text(text)
+        path.write_text(EQUAL_SECTORS)
         code, out, _ = run(capsys, ["expand", str(path)])
         assert code == 0
         assert "warning" in out
@@ -503,3 +525,119 @@ class TestFlags:
         # selftest and waves are imported by their own commands only, and
         # records generate no code, so dataclasses and inspect stay out
         assert done.stdout.split() == ["[]", "[]"]
+
+
+# ----------------------------------------------------------------------
+# Layout: every command's output with each number masked
+# ----------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYOUT_FILE = Path(__file__).with_name("cli_layout.json")
+
+#: a number, with its sign, fraction and exponent, that is not part of a
+#: name (so ``z0`` and ``exp_re`` stay as they are)
+NUMBER = re.compile(r"(?<![A-Za-z_])[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+#: (command line, oracle evaluation budget or None for the default): the
+#: eight ``cli-stock`` commands, then the branches only some runs reach:
+#: every term vanishing, and an oracle stopped by its budget (NOT
+#: converged, agreement FAILURE)
+LAYOUT_COMMANDS = [
+    ("example gamma", None),
+    ("example kepler", None),
+    ("example center", None),
+    ("example parabolic", None),
+    ("example sylvester --n 2000", None),
+    ("expand demos/problems/center.txt", None),
+    ("expand demos/problems/gamma.txt", None),
+    ("selftest", None),
+    ("expand same.txt", None),
+    ("example kepler", 30),
+    ("expand demos/problems/gamma.txt", 30),
+]
+LAYOUT_CASES = [(line, budget, fmt) for line, budget in LAYOUT_COMMANDS
+                for fmt in ("text", "json", "tsv")]
+
+
+def layout_key(line, budget, fmt) -> str:
+    return f"{line} --format {fmt}" + (f" (budget {budget})" if budget else "")
+
+
+def layout_workdir(path: Path) -> Path:
+    """``path`` holding the two demo problem files and ``same.txt``."""
+    problems = path / "demos" / "problems"
+    problems.mkdir(parents=True, exist_ok=True)
+    for name in ("center.txt", "gamma.txt"):
+        shutil.copy(ROOT / "demos" / "problems" / name, problems)
+    (path / "same.txt").write_text(EQUAL_SECTORS)
+    return path
+
+
+def layout(line, budget, fmt) -> dict:
+    """Exit code and masked stdout lines of one command, run in-process
+    in the current directory."""
+    default = quadrature.MAX_EVALUATIONS
+    out = io.StringIO()
+    try:
+        quadrature.MAX_EVALUATIONS = budget or default
+        with contextlib.redirect_stdout(out):
+            code = main([*line.split(), "--format", fmt])
+    finally:
+        quadrature.MAX_EVALUATIONS = default
+    return {"exit": code, "stdout": NUMBER.sub("#", out.getvalue()).split("\n")}
+
+
+class TestLayout:
+    """Each command's output skeleton: JSON key order, text labels,
+    spacing and line order, TSV headers and row counts.  The skeletons in
+    ``cli_layout.json`` were recorded from the renderers before they
+    became one; ``python tests/test_cli.py`` records them anew."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return json.loads(LAYOUT_FILE.read_text())
+
+    @pytest.mark.parametrize("line, budget, fmt", LAYOUT_CASES,
+                             ids=[layout_key(*case) for case in LAYOUT_CASES])
+    def test_layout(self, tmp_path, monkeypatch, expected, line, budget, fmt):
+        monkeypatch.chdir(layout_workdir(tmp_path))
+        assert layout(line, budget, fmt) == expected[layout_key(line, budget, fmt)]
+
+    def test_every_recorded_layout_is_checked(self, expected):
+        assert sorted(expected) == sorted(layout_key(*case) for case in LAYOUT_CASES)
+
+    def test_text_only_branches_are_recorded(self, expected):
+        text = {key: "\n".join(entry["stdout"]) for key, entry in expected.items()
+                if " --format text" in key}
+        assert "warning: every term vanishes" in text["expand same.txt --format text"]
+        assert "(zero)" in text["expand same.txt --format text"]
+        budgeted = text["example kepler --format text (budget 30)"]
+        assert "NOT converged" in budgeted and "agreement FAILURE" in budgeted
+
+    def test_one_field_reaches_text_and_json_of_both_commands(
+            self, capsys, monkeypatch, tmp_path):
+        # a field added to _run_fields shows in expand and example alike,
+        # in text and JSON; the TSV table does not change
+        monkeypatch.chdir(layout_workdir(tmp_path))
+        commands = (["expand", "demos/problems/gamma.txt"], ["example", "kepler"])
+        tables = [run(capsys, [*argv, "--format", "tsv"])[1] for argv in commands]
+        real = cli._run_fields
+        monkeypatch.setattr(cli, "_run_fields", lambda problem_run: [
+            *real(problem_run), ("dummy_field", 42, "dummy field: 42\n")])
+        for argv, table in zip(commands, tables):
+            _, text, _ = run(capsys, argv)
+            _, js, _ = run(capsys, [*argv, "--format", "json"])
+            _, tsv, _ = run(capsys, [*argv, "--format", "tsv"])
+            assert "\nalpha cross-route deviation: " in text
+            assert "dummy field: 42\n" in text
+            assert json.loads(js)["dummy_field"] == 42
+            assert tsv == table
+
+
+if __name__ == "__main__":
+    # record the layouts of the current renderers into cli_layout.json
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(layout_workdir(Path(tmp)))
+        recorded = {layout_key(*case): layout(*case) for case in LAYOUT_CASES}
+        os.chdir(ROOT)
+    LAYOUT_FILE.write_text(json.dumps(recorded, indent=1) + "\n")

@@ -13,7 +13,7 @@ from saddlepoint.classic import gamma_normal_form
 from saddlepoint.expansion import (CirclePath, Endpoint, EvenOpposite, Through,
                                    _cgamma, _warn_near_pole, alpha_bell,
                                    alpha_direct, assemble, bell_sums,
-                                   vanishing_shift)
+                                   term_factors, vanishing_shift)
 from saddlepoint.problemfile import example_problem
 from saddlepoint.saddle import normalize
 from saddlepoint.series import TruncatedSeries, bell_hat_table
@@ -509,6 +509,16 @@ class TestAssemble:
                     * (cmath.exp(2j * math.pi * 1 * e_s) - 1.0))
             assert abs(exp.terms[1].coefficient - want) \
                 < 1e-12 * max(1, abs(want))
+
+    def test_gamma_overflow_only_where_the_phases_survive(self):
+        # mu = 2, a = 1, opposite valleys: e_s = (s+1)/2, and the integer
+        # exponents cancel.  Gamma(171.5) is finite, Gamma(172) is not but
+        # its term cancels, so 344 terms pass and the 345th raises
+        factors = term_factors(1, 2, EvenOpposite(0), 344)
+        assert factors[-1] == (172 + 0j, None, None)
+        assert factors[-2][1] == _cgamma(171.5 + 0j)
+        with pytest.raises(OverflowError):
+            term_factors(1, 2, EvenOpposite(0), 345)
 
     def test_float_a_near_pole_warns(self):
         rng = random.Random(43)
