@@ -56,7 +56,7 @@ from .classic import (agreement_digits, center_amplitude, center_contour,
 from .expansion import (BranchSpec, CirclePath, Endpoint, EvenOpposite,
                         ExponentParam, Through, alpha_bell, alpha_direct,
                         assemble, term_factors)
-from .quadrature import (DEFAULT_REL_TOL, Arc, Contour, Segment, integrate,
+from .quadrature import (DEFAULT_REL_TOL, Arc, Contour, Segment,
                          integrate_power_factor)
 from .saddle import normalize
 from .series import TruncatedSeries
@@ -149,11 +149,11 @@ def _builtin_name(spec: dict, what: str, line: int) -> str:
 
 
 def _builtin_order(spec: dict, order: int, what: str, line: int) -> int:
-    """The builtin's own series order, at least two past the expansion's."""
-    own = spec.get("order", order + 4)
+    """The builtin's own series order: at least the order - 1 the routes read."""
+    own = spec.get("order", order - 1)
     if not isinstance(own, int) or isinstance(own, bool):
         raise ProblemFileError(f"{what}: \"order\" must be an integer", line)
-    return max(own, order + 2)
+    return max(own, order - 1)
 
 
 def _builtin(kind: str, name: str, order: int, eps, z0, line: Optional[int]):
@@ -238,8 +238,8 @@ def example_problem(name: str, n: float = 50.0, eps: float = 0.4,
     if not math.isfinite(n):
         raise ProblemFileError(f"expansion parameter N must be finite, not {n}")
     order = entry.order(terms)
-    nf, p_callable = _builtin("phase", entry.phase, order + 2, eps, None, None)
-    q, q_callable = _builtin("amplitude", entry.amplitude, order + 2, eps,
+    nf, p_callable = _builtin("phase", entry.phase, order - 1, eps, None, None)
+    q, q_callable = _builtin("amplitude", entry.amplitude, order - 1, eps,
                              nf.z0, None)
     problem = Problem(nf, q, entry.a, entry.branch, order, p_callable,
                       q_callable, entry.contour(eps), (n,))
@@ -492,9 +492,9 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
     at each N of the problem.
 
     The route deviation is max_s |bell_s - direct_s| / |bell_s|, with
-    the largest |alpha| in place of a zero |bell_s|.  The oracle takes
-    the (z - z0)^(a-1) factor of ``integrate_power_factor`` when a != 1
-    (branch-tracked unless a is an integer).  A branch variant that
+    the largest |alpha| in place of a zero |bell_s|.  The oracle is one
+    ``integrate_power_factor`` call per N for every a (branch-tracked
+    unless a is an integer).  A branch variant that
     does not fit the saddle raises ``ValueError``, and so does an N at
     which N p(z) is not finite on the contour; a coefficient that
     overflows double precision on either route raises ``OverflowError``.
@@ -523,12 +523,9 @@ def run_problem(problem: Problem, rel_tol: float = DEFAULT_REL_TOL) -> ProblemRu
                     f"at N = {n:.17g} the integrand e^{{N p(z)}} q(z) is outside "
                     f"double precision (N p(z) = {exponent})") from None
             return growth * complex(problem.q_callable(z))
-        if problem.a == 1:
-            oracle = integrate(f, problem.contour, abs_tol=0.0, rel_tol=rel_tol)
-        else:
-            oracle = integrate_power_factor(f, complex(problem.a), nf.z0,
-                                            problem.contour,
-                                            abs_tol=0.0, rel_tol=rel_tol)
+        oracle = integrate_power_factor(f, complex(problem.a), nf.z0,
+                                        problem.contour,
+                                        abs_tol=0.0, rel_tol=rel_tol)
         value = expansion.evaluate(n, problem.order)
         validations.append(Validation(n, value, oracle,
                                       agreement_digits(value, oracle.value)))

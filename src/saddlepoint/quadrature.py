@@ -2,19 +2,22 @@
 
 Contours are chains of straight segments and circular arcs.  Each
 piece is integrated with an embedded 7/15-point Gauss-Kronrod pair
-under recursive bisection; the G/K discrepancy drives refinement and
-supplies the reported error estimate.
+under recursive bisection, at most ``MAX_DEPTH`` levels deep and with
+at most ``MAX_EVALUATIONS`` integrand calls per call; the G/K
+discrepancy drives refinement and supplies the reported error estimate.
 
-``integrate_power_factor`` integrates (z - z0)^(a-1) f(z).  For an
-integer a the weight is single-valued: it is the power (z - z0)**(a-1)
-folded into each node, and no branch is tracked.  Only a non-integer a
-makes it multivalued; then arg(z - z0) is tracked continuously along the
-contour starting from a declared initial branch angle.  Arcs centered
-at z0 contribute their exact analytic argument change, so winding any
-number of times around z0 is handled exactly; other pieces accumulate
-unwrapped increments against precomputed reference points, which keeps
-the tracked angle a deterministic function of the path parameter
-(independent of the order in which quadrature nodes are visited).
+One builder makes every per-piece integrand w(z) f(z) dz/dt.
+``integrate_power_factor`` integrates (z - z0)^(a-1) f(z) through it;
+``integrate`` is its a = 1 case, which has no weight.  For any other
+integer a the weight is the single-valued power (z - z0)**(a-1) and no
+branch is tracked.  Only a non-integer a makes it multivalued; then
+arg(z - z0) is tracked continuously along the contour starting from a
+declared initial branch angle.  Arcs centered at z0 contribute their
+exact analytic argument change, so winding any number of times around
+z0 is handled exactly; other pieces accumulate unwrapped increments
+against precomputed reference points, which keeps the tracked angle a
+deterministic function of the path parameter (independent of the
+order in which quadrature nodes are visited).
 
 Integration is pure given a reentrant integrand; pieces are processed
 and summed in contour order, so results are deterministic.  The same
@@ -52,7 +55,7 @@ DEFAULT_ABS_TOL = 1e-13
 DEFAULT_REL_TOL = 1e-11
 
 
-#: default cap on the bisection depth of one contour piece
+#: cap on the bisection depth of one contour piece
 MAX_DEPTH = 40
 
 
@@ -234,9 +237,9 @@ def _gk15(g: Callable[[list], list], t0: float, t1: float):
 
 
 def _adapt(g: Callable[[list], list], piece: int, panels: dict,
-           t0: float, t1: float, budget: float, rel_floor: float,
-           depth: int, max_depth: int):
-    """Bisect [t0, t1] of piece ``piece`` until each panel meets its budget.
+           t0: float, t1: float, budget: float, rel_floor: float, depth: int):
+    """Bisect [t0, t1] of piece ``piece`` until each panel meets its
+    budget, at most ``MAX_DEPTH`` levels deep.
 
     ``panels`` maps (piece, t0, t1) to the panel's (value, error) and
     is shared by every sweep of one call, so a panel already evaluated
@@ -251,13 +254,13 @@ def _adapt(g: Callable[[list], list], piece: int, panels: dict,
     # rounding noise when the absolute budget underflows the panel's
     # own floating-point floor; the caller re-checks the global error
     done = err <= budget or err <= rel_floor * abs(value)
-    if done or depth >= max_depth or 15 * len(panels) >= MAX_EVALUATIONS:
+    if done or depth >= MAX_DEPTH or 15 * len(panels) >= MAX_EVALUATIONS:
         return value, err, done
     mid = 0.5 * (t0 + t1)
     lv, le, lok = _adapt(g, piece, panels, t0, mid, budget / 2.0, rel_floor,
-                         depth + 1, max_depth)
+                         depth + 1)
     rv, re_, rok = _adapt(g, piece, panels, mid, t1, budget / 2.0, rel_floor,
-                          depth + 1, max_depth)
+                          depth + 1)
     return lv + rv, le + re_, lok and rok
 
 
@@ -267,8 +270,11 @@ def _adapt(g: Callable[[list], list], piece: int, panels: dict,
 MAX_EVALUATIONS = 2_000_000
 
 
-def _integrate_parameterized(integrands, abs_tol, rel_tol, max_depth):
-    """Adaptive integration of a list of parameterized pieces.
+def _integrate_parameterized(f, pieces, weights, abs_tol, rel_tol):
+    """Adaptive integral of w(z) f(z) dz along ``pieces``: the one
+    builder of the per-piece batch integrands.  ``weights`` is None
+    (w = 1, no weight list) or, per piece, a callable from the node
+    parameters and points to their weights.
 
     The convergence target couples absolute and relative tolerances
     through the magnitude of the running estimate, so the budget is
@@ -278,7 +284,25 @@ def _integrate_parameterized(integrands, abs_tol, rel_tol, max_depth):
     the whole call (valid because the integrands are pure) and each is
     evaluated at most once; the memo holds about
     ``MAX_EVALUATIONS / 15`` entries at most and is dropped on return.
+    A value and an error both exactly 0 (an integrand that underflowed
+    on every node) show nothing, so they come back not converged.
     """
+
+    def make(i: int):
+        trace = pieces[i].points_velocities
+        if weights is None:
+            def g(ts: list) -> list:
+                zs, vs = trace(ts)
+                return [f(z) * v for z, v in zip(zs, vs)]
+        else:
+            weight = weights[i]
+
+            def g(ts: list) -> list:
+                zs, vs = trace(ts)
+                return [w * f(z) * v for w, z, v in zip(weight(ts, zs), zs, vs)]
+        return g
+
+    integrands = [make(i) for i in range(len(pieces))]
     panels = {(i, 0.0, 1.0): _gk15(g, 0.0, 1.0)
               for i, g in enumerate(integrands)}
     value = sum(v for v, _ in panels.values())
@@ -289,13 +313,13 @@ def _integrate_parameterized(integrands, abs_tol, rel_tol, max_depth):
         err = 0.0
         ok = True
         for i, g in enumerate(integrands):
-            v, e, flag = _adapt(g, i, panels, 0.0, 1.0, budget, rel_floor,
-                                0, max_depth)
+            v, e, flag = _adapt(g, i, panels, 0.0, 1.0, budget, rel_floor, 0)
             total += v
             err += e
             ok = ok and flag
         value = total
         if err <= max(abs_tol, rel_tol * abs(value)):
+            ok = ok and not (value == 0 and err == 0)
             return QuadratureResult(value, err, 15 * len(panels), ok)
         if 15 * len(panels) >= MAX_EVALUATIONS:
             break
@@ -305,28 +329,19 @@ def _integrate_parameterized(integrands, abs_tol, rel_tol, max_depth):
 def integrate(f: Callable[[complex], complex],
               contour: Contour,
               abs_tol: float = DEFAULT_ABS_TOL,
-              rel_tol: float = DEFAULT_REL_TOL,
-              max_depth: int = MAX_DEPTH) -> QuadratureResult:
-    """Contour integral of f along ``contour``.
+              rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
+    """Contour integral of f along ``contour``: the unweighted a = 1
+    case of ``integrate_power_factor``.
 
     f must be finite on the path; singularities are allowed only off
-    it.  A result with ``converged=False`` is the best estimate after
-    the subdivision limit was hit.  Heavily oscillatory integrands
-    (phase parameters in the thousands) are outside this oracle's
-    intended scope; the cost grows with the oscillation count.
+    it.  A result with ``converged=False`` is the best estimate after a
+    limit was hit (``MAX_DEPTH`` bisections of a piece or
+    ``MAX_EVALUATIONS`` integrand calls) or an all-zero result.
+    Heavily oscillatory integrands (phase parameters in the thousands)
+    are outside this oracle's intended scope; the cost grows with the
+    oscillation count.
     """
-
-    def make(piece: Piece):
-        trace = piece.points_velocities
-
-        def g(ts: list) -> list:
-            zs, vs = trace(ts)
-            return [f(z) * v for z, v in zip(zs, vs)]
-
-        return g
-
-    return _integrate_parameterized(
-        [make(p) for p in contour.pieces], abs_tol, rel_tol, max_depth)
+    return integrate_power_factor(f, 1, 0j, contour, abs_tol, rel_tol)
 
 
 class _BranchTracker:
@@ -378,72 +393,56 @@ def integrate_power_factor(f: Callable[[complex], complex],
                            z0: complex,
                            contour: Contour,
                            abs_tol: float = DEFAULT_ABS_TOL,
-                           rel_tol: float = DEFAULT_REL_TOL,
-                           max_depth: int = MAX_DEPTH) -> QuadratureResult:
-    """Integral of (z - z0)^(a-1) f(z).
+                           rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
+    """Integral of (z - z0)^(a-1) f(z) along ``contour``.
 
-    For an integer a the weight is single-valued, the plain power
-    (z - z0)**(a-1), and no branch is tracked: ``initial_branch_angle``
-    has no effect.  For a >= 1 it is a polynomial and the contour may
-    pass through z0; for a <= 0, z0 is a pole the contour must avoid.
-    For a non-integer a the contour must avoid z0, and the branch starts
-    at ``contour.initial_branch_angle`` (principal arg of the starting
-    point when unset) and follows the path by continuity, so windings
-    around z0 accumulate phase.
+    Every a goes through the one per-piece integrand builder; a = 1
+    (``integrate``) has no weight.  For any other integer a the weight
+    is single-valued, the plain power (z - z0)**(a-1), and no branch is
+    tracked: ``initial_branch_angle`` has no effect.  For a >= 1 it is
+    a polynomial and the contour may pass through z0; for a <= 0, z0 is
+    a pole the contour must avoid.  For a non-integer a the contour must
+    avoid z0, and the branch starts at ``contour.initial_branch_angle``
+    (principal arg of the starting point when unset) and follows the
+    path by continuity, so windings around z0 accumulate phase.  The
+    limits and the not-converged cases are those of ``integrate``.
     """
+    pieces = contour.pieces
     aa = complex(a)
     single_valued = aa.imag == 0.0 and aa.real.is_integer()
     if not single_valued or aa.real < 1.0:
         kind = "pole" if single_valued else "branch point"
-        for piece in contour.pieces:
+        for piece in pieces:
             _reject_near_z0(piece, z0, kind)
+    if aa == 1.0:
+        return _integrate_parameterized(f, pieces, None, abs_tol, rel_tol)
     if single_valued:
         m = int(aa.real) - 1
 
-        def make_power(piece: Piece):
-            trace = piece.points_velocities
+        def power(ts: list, zs: list) -> list:
+            return [(z - z0) ** m for z in zs]
 
-            def g(ts: list) -> list:
-                zs, vs = trace(ts)
-                return [(z - z0) ** m * f(z) * v for z, v in zip(zs, vs)]
-
-            return g
-
-        return _integrate_parameterized(
-            [make_power(p) for p in contour.pieces], abs_tol, rel_tol, max_depth)
+        return _integrate_parameterized(f, pieces, [power] * len(pieces),
+                                        abs_tol, rel_tol)
 
     if contour.initial_branch_angle is None:
-        start = cmath.phase(contour.first - z0)
+        angle = cmath.phase(contour.first - z0)
     else:
-        start = float(contour.initial_branch_angle)
-
-    trackers = []
-    angle = start
-    for piece in contour.pieces:
+        angle = float(contour.initial_branch_angle)
+    exponent = aa - 1.0
+    weights = []
+    for piece in pieces:
         tr = _BranchTracker(piece, z0, angle)
-        trackers.append(tr)
         angle = tr.end
 
-    exponent = aa - 1.0
+        def power(ts: list, zs: list, tracked_angle=tr.angle) -> list:
+            ws = [z - z0 for z in zs]
+            return [cmath.exp(exponent * complex(math.log(abs(w)),
+                                                 tracked_angle(t, w)))
+                    for t, w in zip(ts, ws)]
 
-    def make(tr: _BranchTracker):
-        trace = tr.piece.points_velocities
-        tracked_angle = tr.angle
-
-        def g(ts: list) -> list:
-            zs, vs = trace(ts)
-            out = []
-            for t, z, v in zip(ts, zs, vs):
-                w = z - z0
-                power = cmath.exp(exponent * complex(math.log(abs(w)),
-                                                     tracked_angle(t, w)))
-                out.append(power * f(z) * v)
-            return out
-
-        return g
-
-    return _integrate_parameterized(
-        [make(tr) for tr in trackers], abs_tol, rel_tol, max_depth)
+        weights.append(power)
+    return _integrate_parameterized(f, pieces, weights, abs_tol, rel_tol)
 
 
 def _reject_near_z0(piece: Piece, z0: complex, kind: str) -> None:

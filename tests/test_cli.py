@@ -134,6 +134,21 @@ class TestExample:
         assert "agreement: 0 digits" in out
         assert "agreement FAILURE" in out
 
+    def test_zero_oracle_is_not_converged(self, capsys):
+        # e^{N p(z)} underflows on every node at N = 1e200: the oracle's
+        # exact 0 with error 0 is no evidence, so it has not converged
+        code, out, _ = run(capsys, ["example", "kepler", "--n", "1e200",
+                                    "--format", "json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["quadrature_value"] == {"re": 0.0, "im": 0.0}
+        assert payload["quadrature_error"] == 0.0
+        assert payload["converged"] is False
+        code, out, _ = run(capsys, ["example", "kepler", "--n", "1e200"])
+        assert code == 1
+        assert ("quadrature value: 0+0i  (error 0.000e+00, evaluations 60, "
+                "NOT converged)\n") in out
+
     @pytest.mark.parametrize("name", ["kepler", "parabolic"])
     def test_integrand_outside_double_precision(self, capsys, name):
         # N p(z) has an infinite part on the contour: cmath.exp fails

@@ -22,6 +22,19 @@ contour = [{"segment": [[0.05, 0.0], [4.0, 0.0]]}]
 n_values = [50.0]
 """
 
+#: center at eps = 0.2 and N = 800: e^{N p(z)} underflows on the whole path
+CENTER_UNDERFLOW_TEXT = """\
+p = {"builtin": "center", "eps": 0.2}
+q = {"builtin": "center"}
+a = 0
+variant = "circle_path"
+k1 = 1
+k2 = 2
+order = 13
+contour = [{"segment": [[-3.141592653589793, 2.2924316695611777], [-0.25, 2.2924316695611777]]}, {"arc": {"center": [0.0, 2.2924316695611777], "radius": 0.25, "from": 3.141592653589793, "to": 6.283185307179586}}, {"segment": [[0.25, 2.2924316695611777], [3.141592653589793, 2.2924316695611777]]}]
+n_values = [800]
+"""
+
 CENTER_TAIL = """\
 a = 0
 variant = "circle_path"
@@ -237,3 +250,30 @@ class TestExamples:
         # against max|alpha| instead of |alpha_s| that reads only ~1e-8
         run = run_problem(example_problem("center", eps=0.1, terms=40).problem)
         assert run.route_deviation > 1e-3
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_builtins_expanded_to_the_order_the_routes_read(self, name):
+        problem = example_problem(name).problem
+        assert problem.normal_form.phi.order == problem.order - 1
+        assert problem.q.order == problem.order - 1
+
+    def test_builtin_order_is_a_floor(self):
+        # "order": 12 is kept; without it the builtin stops at order - 1
+        assert parse_problem_text(GAMMA_TEXT).normal_form.phi.order == 12
+        bare = GAMMA_TEXT.replace(', "order": 12', "")
+        assert parse_problem_text(bare).normal_form.phi.order == 5
+        low = GAMMA_TEXT.replace('"order": 12', '"order": 2')
+        assert parse_problem_text(low).normal_form.phi.order == 5
+
+
+class TestRunProblem:
+    @pytest.mark.parametrize("text", [
+        CENTER_UNDERFLOW_TEXT,
+        GAMMA_TEXT.replace("[50.0]", "[800.0]"),
+    ], ids=["center", "gamma"])
+    def test_underflow_oracle_not_converged(self, text):
+        (validation,) = run_problem(parse_problem_text(text)).validations
+        oracle = validation.oracle
+        assert (oracle.value, oracle.error_estimate) == (0, 0.0)
+        assert not oracle.converged
+        assert validation.digits == 0

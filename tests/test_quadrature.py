@@ -80,16 +80,17 @@ class TestIntegrate:
         bwd = integrate(f, path.reversed()).value
         assert abs(fwd + bwd) < 1e-13
 
-    def test_depth_limit(self):
+    def test_depth_limit(self, monkeypatch):
         f = builtin_integrand("gamma", n=200.0)
-        shallow = integrate(f, Contour.from_points([0.05, 4.0]),
-                            abs_tol=0.0, rel_tol=1e-12, max_depth=1)
         deep = integrate(f, Contour.from_points([0.05, 4.0]),
                          abs_tol=0.0, rel_tol=1e-12)
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 1)
+        shallow = integrate(f, Contour.from_points([0.05, 4.0]),
+                            abs_tol=0.0, rel_tol=1e-12)
         assert deep.evaluations > shallow.evaluations
         assert deep.converged
 
-    def test_unreachable_tolerance_flagged(self):
+    def test_unreachable_tolerance_flagged(self, monkeypatch):
         # the two long opposite edges cancel; double precision cannot
         # deliver 1e-11 of the tiny remainder, so the result must come
         # back flagged instead of looping forever
@@ -101,7 +102,16 @@ class TestIntegrate:
                         Arc(z0, 0.25, math.pi, 2 * math.pi),
                         Segment(z0 + 0.25, math.pi + z0),
                         Segment(math.pi + z0, math.pi)])
-        r = integrate(f, path, abs_tol=0.0, rel_tol=1e-11, max_depth=6)
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 6)
+        r = integrate(f, path, abs_tol=0.0, rel_tol=1e-11)
+        assert not r.converged
+
+    @pytest.mark.parametrize("a", [1, 0, 0.5])
+    def test_all_zero_result_not_converged(self, a):
+        # a value and an error both exactly 0 show nothing about f
+        c = Contour.from_points([1.0, 2 + 1j, 3.0])
+        r = integrate_power_factor(lambda z: 0.0, a, 0j, c)
+        assert (r.value, r.error_estimate, r.evaluations) == (0, 0.0, 30)
         assert not r.converged
 
 
@@ -111,6 +121,16 @@ class TestPowerFactor:
         ra = integrate_power_factor(lambda z: cmath.exp(z), 1.0, 0.0, c)
         rb = integrate(lambda z: cmath.exp(z), c)
         assert abs(ra.value - rb.value) < 1e-13
+
+    @pytest.mark.parametrize("name", ["gamma", "kepler"])
+    def test_integrate_is_the_a_one_case(self, name):
+        f, a, z0, contour, rel_tol = _oracle_problem(name, 50.0)
+        assert a == 1
+        plain = integrate(f, contour, abs_tol=0.0, rel_tol=rel_tol)
+        power = integrate_power_factor(f, 1, z0, contour, abs_tol=0.0,
+                                       rel_tol=rel_tol)
+        assert plain.converged
+        assert repr(plain) == repr(power)
 
     def test_full_circle_winding(self):
         z0 = 0.3 + 0.2j
