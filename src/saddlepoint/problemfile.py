@@ -406,7 +406,7 @@ def parse_problem_text(text: str) -> Problem:
 
     q_raw, qline = entries.take("q")
     if q_raw is None:
-        q, q_callable = taylor(_one, nf.z0, order + 2), _one
+        q, q_callable = taylor(_one, nf.z0, order - 1), _one
     elif isinstance(q_raw, dict):
         name = _builtin_name(q_raw, "builtin amplitude", qline)
         q, q_callable = _builtin(

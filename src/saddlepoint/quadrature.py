@@ -1,10 +1,19 @@
 """Adaptive complex contour quadrature with branch tracking.
 
-Contours are chains of straight segments and circular arcs.  Each
-piece is integrated with an embedded 7/15-point Gauss-Kronrod pair
-under recursive bisection, at most ``MAX_DEPTH`` levels deep and with
-at most ``MAX_EVALUATIONS`` integrand calls per call; the G/K
-discrepancy drives refinement and supplies the reported error estimate.
+Contours are chains of straight segments and circular arcs, each
+parameterized over [0, 1].  Every piece starts as one panel of an
+embedded 7/15-point Gauss-Kronrod pair, whose G/K discrepancy is the
+panel's error estimate.  One refinement loop (QUADPACK's QAG) keeps
+the panels that can still improve on a heap and always bisects the one
+with the largest error, until the total error meets
+max(abs_tol, rel_tol |value|).  A panel is final once its error is
+within max(rel_tol / 16, 2**-52) of its own value, the rounding floor
+past which bisection only chases noise, or once it is ``MAX_DEPTH``
+bisections deep.  The loop gives up, not converged, when no panel is
+left to split, when ``MAX_EVALUATIONS`` integrand calls are spent, or
+when the final panels alone hold more error than the target and at
+least as much as the panels still open: a tolerance below what double
+precision resolves ends there, close to the best value it allows.
 
 One builder makes every per-piece integrand w(z) f(z) dz/dt.
 ``integrate_power_factor`` integrates (z - z0)^(a-1) f(z) through it;
@@ -19,20 +28,18 @@ against precomputed reference points, which keeps the tracked angle a
 deterministic function of the path parameter (independent of the
 order in which quadrature nodes are visited).
 
-Integration is pure given a reentrant integrand; pieces are processed
-and summed in contour order, so results are deterministic.  The same
-purity lets one call evaluate each Gauss-Kronrod panel once: the
-budget sweeps of a call retrace the same bisection tree, so a panel's
-(value, error) pair is memoized for the rest of the call and only new
-panels call the integrand.  ``QuadratureResult.evaluations`` counts
-those real integrand calls, 15 per distinct panel.  Each panel is
-evaluated as one batch: its piece gives the points and velocities of
-all 15 nodes in one call, and the weighted integrand maps over them.
+Every panel is evaluated once, as one batch: its piece gives the
+points and velocities of all 15 nodes in one call, and the weighted
+integrand maps over them.  ``QuadratureResult.evaluations`` counts the
+integrand calls, 15 per panel.  Ties on the heap go to the earlier
+panel along the contour, and the leaf panels are summed in contour
+order, so results are deterministic given a reentrant integrand.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from typing import Callable, Optional, Sequence, Union
 
@@ -236,37 +243,10 @@ def _gk15(g: Callable[[list], list], t0: float, t1: float):
     return k * half, abs(k - gauss) * abs(half)
 
 
-def _adapt(g: Callable[[list], list], piece: int, panels: dict,
-           t0: float, t1: float, budget: float, rel_floor: float, depth: int):
-    """Bisect [t0, t1] of piece ``piece`` until each panel meets its
-    budget, at most ``MAX_DEPTH`` levels deep.
-
-    ``panels`` maps (piece, t0, t1) to the panel's (value, error) and
-    is shared by every sweep of one call, so a panel already evaluated
-    is read back instead of calling g again.
-    """
-    key = (piece, t0, t1)
-    cached = panels.get(key)
-    if cached is None:
-        cached = panels[key] = _gk15(g, t0, t1)
-    value, err = cached
-    # the relative-to-panel acceptance keeps refinement from chasing
-    # rounding noise when the absolute budget underflows the panel's
-    # own floating-point floor; the caller re-checks the global error
-    done = err <= budget or err <= rel_floor * abs(value)
-    if done or depth >= MAX_DEPTH or 15 * len(panels) >= MAX_EVALUATIONS:
-        return value, err, done
-    mid = 0.5 * (t0 + t1)
-    lv, le, lok = _adapt(g, piece, panels, t0, mid, budget / 2.0, rel_floor,
-                         depth + 1)
-    rv, re_, rok = _adapt(g, piece, panels, mid, t1, budget / 2.0, rel_floor,
-                          depth + 1)
-    return lv + rv, le + re_, lok and rok
-
-
-#: hard cap on integrand evaluations per integrate() call; pathological
-#: requests (e.g. tolerances below what cancellation allows in doubles)
-#: come back flagged non-converged instead of running away
+#: hard cap on integrand evaluations per integrate() call; an integrand
+#: the panels cannot resolve (non-finite values, oscillation far past
+#: the panel width) comes back flagged non-converged instead of running
+#: away
 MAX_EVALUATIONS = 2_000_000
 
 
@@ -276,16 +256,10 @@ def _integrate_parameterized(f, pieces, weights, abs_tol, rel_tol):
     (w = 1, no weight list) or, per piece, a callable from the node
     parameters and points to their weights.
 
-    The convergence target couples absolute and relative tolerances
-    through the magnitude of the running estimate, so the budget is
-    first set from a rough single-panel pass and the sweep repeats if
-    the converged value reveals the budget was too loose.  A later sweep
-    revisits the panels of the earlier ones, so panels are memoized for
-    the whole call (valid because the integrands are pure) and each is
-    evaluated at most once; the memo holds about
-    ``MAX_EVALUATIONS / 15`` entries at most and is dropped on return.
-    A value and an error both exactly 0 (an integrand that underflowed
-    on every node) show nothing, so they come back not converged.
+    The refinement loop of the module docstring runs on running totals;
+    on exit the leaf panels are summed afresh in contour order.  A value
+    and an error both exactly 0 (an integrand that underflowed on every
+    node) show nothing, so they come back not converged.
     """
 
     def make(i: int):
@@ -303,27 +277,43 @@ def _integrate_parameterized(f, pieces, weights, abs_tol, rel_tol):
         return g
 
     integrands = [make(i) for i in range(len(pieces))]
-    panels = {(i, 0.0, 1.0): _gk15(g, 0.0, 1.0)
-              for i, g in enumerate(integrands)}
-    value = sum(v for v, _ in panels.values())
-    rel_floor = rel_tol / 16.0
-    for _ in range(3):
-        budget = max(abs_tol, rel_tol * abs(value)) / max(len(integrands), 1)
-        total = 0.0 + 0.0j
-        err = 0.0
-        ok = True
-        for i, g in enumerate(integrands):
-            v, e, flag = _adapt(g, i, panels, 0.0, 1.0, budget, rel_floor, 0)
-            total += v
-            err += e
-            ok = ok and flag
-        value = total
-        if err <= max(abs_tol, rel_tol * abs(value)):
-            ok = ok and not (value == 0 and err == 0)
-            return QuadratureResult(value, err, 15 * len(panels), ok)
-        if 15 * len(panels) >= MAX_EVALUATIONS:
+    floor = max(rel_tol / 16.0, 2.0 ** -52)
+    final = []      # (piece, t0, value, error) of the final panels
+    heap = []       # (-error, piece, t0, t1, depth, value) of the others
+    value = 0j
+    final_err = open_err = 0.0
+
+    def panel(i: int, t0: float, t1: float, depth: int) -> None:
+        nonlocal value, final_err, open_err
+        v, e = _gk15(integrands[i], t0, t1)
+        value += v
+        if e <= floor * abs(v) or depth >= MAX_DEPTH:
+            final.append((i, t0, v, e))
+            final_err += e
+        else:
+            heapq.heappush(heap, (-e, i, t0, t1, depth, v))
+            open_err += e
+
+    for i in range(len(integrands)):
+        panel(i, 0.0, 1.0, 0)
+    evaluations = 15 * len(integrands)
+    while heap and evaluations < MAX_EVALUATIONS:
+        target = max(abs_tol, rel_tol * abs(value))
+        if final_err + open_err <= target or target < final_err >= open_err:
             break
-    return QuadratureResult(value, err, 15 * len(panels), False)
+        neg_err, i, t0, t1, depth, v = heapq.heappop(heap)
+        value -= v
+        open_err += neg_err
+        mid = 0.5 * (t0 + t1)
+        panel(i, t0, mid, depth + 1)
+        panel(i, mid, t1, depth + 1)
+        evaluations += 30
+    leaves = sorted(final + [(i, t0, v, -e) for e, i, t0, _, _, v in heap])
+    value = sum(v for _, _, v, _ in leaves)
+    err = sum(e for _, _, _, e in leaves)
+    converged = (err <= max(abs_tol, rel_tol * abs(value))
+                 and not (value == 0 and err == 0))
+    return QuadratureResult(value, err, evaluations, converged)
 
 
 def integrate(f: Callable[[complex], complex],
@@ -334,9 +324,11 @@ def integrate(f: Callable[[complex], complex],
     case of ``integrate_power_factor``.
 
     f must be finite on the path; singularities are allowed only off
-    it.  A result with ``converged=False`` is the best estimate after a
-    limit was hit (``MAX_DEPTH`` bisections of a piece or
-    ``MAX_EVALUATIONS`` integrand calls) or an all-zero result.
+    it.  A result with ``converged=False`` is the best estimate when the
+    error target was out of reach: every panel final at its rounding
+    floor or ``MAX_DEPTH``, the final panels' error over the target and
+    at least that of the open ones, ``MAX_EVALUATIONS`` integrand calls
+    spent, or an all-zero result.
     Heavily oscillatory integrands (phase parameters in the thousands)
     are outside this oracle's intended scope; the cost grows with the
     oscillation count.

@@ -256,6 +256,9 @@ class TestExamples:
         problem = example_problem(name).problem
         assert problem.normal_form.phi.order == problem.order - 1
         assert problem.q.order == problem.order - 1
+        # a file without q takes the amplitude 1 to the same order
+        bare = parse_problem_text(GAMMA_TEXT.replace('q = {"builtin": "one"}\n', ""))
+        assert bare.q.order == bare.order - 1
 
     def test_builtin_order_is_a_floor(self):
         # "order": 12 is kept; without it the builtin stops at order - 1
