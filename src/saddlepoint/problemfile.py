@@ -92,7 +92,10 @@ def _as_complex(value, key: str, line: int) -> complex:
     if (not isinstance(value, list) or len(value) != 2
             or not all(isinstance(x, (int, float)) for x in value)):
         raise ProblemFileError(f"{key} must be a pair [re, im]", line)
-    return complex(value[0], value[1])
+    z = complex(value[0], value[1])
+    if not cmath.isfinite(z):
+        raise ProblemFileError(f"{key} must be finite, not {value}", line)
+    return z
 
 
 def _coeff_list(value, key: str, line: int) -> list:
@@ -249,9 +252,7 @@ def example_problem(name: str, n: float = 50.0, eps: float = 0.4,
 
 
 def _parse_a(value, line: int) -> ExponentParam:
-    if isinstance(value, bool):
-        raise ProblemFileError("a must be a number, rational string or pair", line)
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
@@ -260,9 +261,10 @@ def _parse_a(value, line: int) -> ExponentParam:
             raise ProblemFileError(f"bad rational {value!r} for a", line) from None
     if isinstance(value, list):
         return _as_complex(value, "a", line)
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return value
-    raise ProblemFileError("a must be a number, rational string or pair", line)
+    raise ProblemFileError(f"a must be a finite number, rational string or pair, "
+                           f"not {value}", line)
 
 
 def _parse_contour(value, initial_branch_angle, line: int) -> Contour:
@@ -437,8 +439,10 @@ def parse_problem_text(text: str) -> Problem:
     iba_raw, ibaline = entries.take("initial_branch_angle")
     iba = None
     if iba_raw is not None:
-        if not isinstance(iba_raw, (int, float)) or isinstance(iba_raw, bool):
-            raise ProblemFileError("initial_branch_angle must be a number", ibaline)
+        if (not isinstance(iba_raw, (int, float)) or isinstance(iba_raw, bool)
+                or not math.isfinite(iba_raw)):
+            raise ProblemFileError("initial_branch_angle must be a finite number",
+                                   ibaline)
         iba = float(iba_raw)
 
     contour_raw, cline = entries.take("contour")

@@ -20,13 +20,18 @@ One builder makes every per-piece integrand w(z) f(z) dz/dt.
 ``integrate`` is its a = 1 case, which has no weight.  For any other
 integer a the weight is the single-valued power (z - z0)**(a-1) and no
 branch is tracked.  Only a non-integer a makes it multivalued; then
-arg(z - z0) is tracked continuously along the contour starting from a
-declared initial branch angle.  Arcs centered at z0 contribute their
-exact analytic argument change, so winding any number of times around
-z0 is handled exactly; other pieces accumulate unwrapped increments
-against precomputed reference points, which keeps the tracked angle a
-deterministic function of the path parameter (independent of the
-order in which quadrature nodes are visited).
+arg(z - z0) starts at a declared initial branch angle and each piece
+adds its own turn, arg(z - z0) less its value at the piece's start,
+from a closed form with no sampling.  On a segment, and on an arc
+about c of radius R < |c - z0|, the turn is phase((z - z0) / (z_start -
+z0)): a segment, like a disc that misses z0, subtends less than pi at
+z0.  On an arc with |c - z0| <= R it is the change of the arc angle
+plus that of phase((z - z0) / (z - c)), a ratio 1 + u with
+|u| = |c - z0| / R <= 1.  No principal phase here can jump, however
+close z0 comes to the path or however often an arc winds about it; an
+arc centred on z0 turns by exactly its swept angle.  The tracked angle
+is a function of the path parameter alone, independent of the order
+in which nodes are visited.
 
 Every panel is evaluated once, as one batch: its piece gives the
 points and velocities of all 15 nodes in one call, and the weighted
@@ -77,6 +82,21 @@ class Segment(Record):
         velocity = self.end - self.start
         return [self.start + velocity * t for t in ts], [velocity] * len(ts)
 
+    def turns(self, ts: Sequence[float], zs: Sequence[complex],
+              z0: complex) -> list:
+        """arg(z - z0) at the points ``zs`` less its value at the start."""
+        w0 = self.start - z0
+        return [cmath.phase((z - z0) / w0) for z in zs]
+
+    def distance(self, p: complex) -> float:
+        """Distance from p to the nearest point of the segment."""
+        d = self.end - self.start
+        t = ((p - self.start) * d.conjugate()).real / (abs(d) ** 2 or 1.0)
+        return abs(p - self.point(min(1.0, max(0.0, t))))
+
+    def reversed(self) -> "Segment":
+        return Segment(self.end, self.start)
+
     @property
     def first(self) -> complex:
         return self.start
@@ -97,8 +117,8 @@ class Arc(Record):
 
     def __init__(self, center: complex, radius: float, angle_from: float,
                  angle_to: float):
-        if radius <= 0:
-            raise ValueError("arc radius must be positive")
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError(f"arc radius must be positive and finite, not {radius}")
         if not (math.isfinite(angle_from) and math.isfinite(angle_to)):
             raise ValueError("arc angles must be finite")
         object.__setattr__(self, "center", center)
@@ -120,6 +140,36 @@ class Arc(Record):
         scale = self.radius * 1j * sweep
         return ([self.center + self.radius * turn for turn in turns],
                 [scale * turn for turn in turns])
+
+    def turns(self, ts: Sequence[float], zs: Sequence[complex],
+              z0: complex) -> list:
+        """arg(z - z0) at the points ``zs`` (parameters ``ts``) less its
+        value at the start, continuous along the arc."""
+        c = self.center
+        if abs(c - z0) <= self.radius:
+            sweep = self.angle_to - self.angle_from
+            w0 = self.first
+            t0 = cmath.phase((w0 - z0) / (w0 - c))
+            return [sweep * t + cmath.phase((z - z0) / (z - c)) - t0
+                    for t, z in zip(ts, zs)]
+        w0 = self.first - z0
+        return [cmath.phase((z - z0) / w0) for z in zs]
+
+    def distance(self, p: complex) -> float:
+        """Exact distance from p: radial when the ray from the center
+        through p crosses the swept angles, else to an endpoint."""
+        d = p - self.center
+        lo = min(self.angle_from, self.angle_to)
+        span = abs(self.angle_to - self.angle_from)
+        # the representative of arg(d) at or above the lower sweep angle
+        phi = cmath.phase(d)
+        phi += 2.0 * math.pi * math.ceil((lo - phi) / (2.0 * math.pi))
+        if span >= 2.0 * math.pi or phi <= lo + span:
+            return abs(abs(d) - self.radius)
+        return min(abs(p - self.first), abs(p - self.last))
+
+    def reversed(self) -> "Arc":
+        return Arc(self.center, self.radius, self.angle_to, self.angle_from)
 
     @property
     def first(self) -> complex:
@@ -177,25 +227,11 @@ class Contour(Record):
         return self.pieces[-1].last
 
     def reversed(self) -> "Contour":
-        rev = []
-        for piece in reversed(self.pieces):
-            if isinstance(piece, Segment):
-                rev.append(Segment(piece.end, piece.start))
-            else:
-                rev.append(Arc(piece.center, piece.radius,
-                               piece.angle_to, piece.angle_from))
-        return Contour(rev, None)
+        return Contour([piece.reversed() for piece in reversed(self.pieces)])
 
 
 class QuadratureResult(Record):
     __slots__ = ("value", "error_estimate", "evaluations", "converged")
-
-    def __init__(self, value: complex, error_estimate: float, evaluations: int,
-                 converged: bool = True):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "error_estimate", error_estimate)
-        object.__setattr__(self, "evaluations", evaluations)
-        object.__setattr__(self, "converged", converged)
 
 
 # 7/15 Gauss-Kronrod pair on [-1, 1]; Kronrod nodes with weights, the
@@ -336,50 +372,6 @@ def integrate(f: Callable[[complex], complex],
     return integrate_power_factor(f, 1, 0j, contour, abs_tol, rel_tol)
 
 
-class _BranchTracker:
-    """Continuous determination of arg(z(t) - z0) along one piece.
-
-    For arcs centered at z0 the argument change is linear in t and
-    exact.  Other pieces are split into chunks small enough that the
-    direction to z0 turns by well under pi inside each chunk; the
-    angle at any t is the chunk-start angle plus a principal-value
-    increment, giving a deterministic function of t.
-    """
-
-    def __init__(self, piece: Piece, z0: complex, start_angle: float):
-        self.piece = piece
-        self.start = start_angle
-        if isinstance(piece, Arc) and abs(piece.center - z0) <= _ENDPOINT_TOL:
-            self.exact_arc = True
-            self.end = start_angle + (piece.angle_to - piece.angle_from)
-            return
-        self.exact_arc = False
-        if isinstance(piece, Arc):
-            sweep = abs(piece.angle_to - piece.angle_from)
-            chunks = max(16, int(math.ceil(sweep / (math.pi / 8))))
-        else:
-            chunks = 16
-        self.chunks = chunks
-        # z(knot) - z0 at every knot, reused by each angle() call
-        self.knot_offsets = [piece.point(i / chunks) - z0
-                             for i in range(chunks + 1)]
-        if any(w == 0 for w in self.knot_offsets):
-            raise ValueError("contour touches the branch point z0")
-        angles = [start_angle]
-        for za, zb in zip(self.knot_offsets, self.knot_offsets[1:]):
-            angles.append(angles[-1] + cmath.phase(zb / za))
-        self.knot_angles = angles
-        self.end = angles[-1]
-
-    def angle(self, t: float, w: complex) -> float:
-        """arg(z(t) - z0) on the tracked branch, given w = z(t) - z0."""
-        if self.exact_arc:
-            sweep = self.piece.angle_to - self.piece.angle_from
-            return self.start + sweep * t
-        idx = min(int(t * self.chunks), self.chunks - 1)
-        return self.knot_angles[idx] + cmath.phase(w / self.knot_offsets[idx])
-
-
 def integrate_power_factor(f: Callable[[complex], complex],
                            a: complex,
                            z0: complex,
@@ -395,17 +387,19 @@ def integrate_power_factor(f: Callable[[complex], complex],
     a polynomial and the contour may pass through z0; for a <= 0, z0 is
     a pole the contour must avoid.  For a non-integer a the contour must
     avoid z0, and the branch starts at ``contour.initial_branch_angle``
-    (principal arg of the starting point when unset) and follows the
-    path by continuity, so windings around z0 accumulate phase.  The
-    limits and the not-converged cases are those of ``integrate``.
+    (principal arg of the starting point when unset); each piece adds
+    its closed-form ``turns`` (module docstring) at its nodes and its
+    end turn to the running angle, so windings around z0 accumulate
+    phase, exactly at any distance of z0 from the path.  The limits and
+    the not-converged cases are those of ``integrate``.
     """
     pieces = contour.pieces
     aa = complex(a)
     single_valued = aa.imag == 0.0 and aa.real.is_integer()
-    if not single_valued or aa.real < 1.0:
+    if (not single_valued or aa.real < 1.0) and any(
+            piece.distance(z0) <= 1e-12 for piece in pieces):
         kind = "pole" if single_valued else "branch point"
-        for piece in pieces:
-            _reject_near_z0(piece, z0, kind)
+        raise ValueError(f"contour passes through the {kind} z0")
     if aa == 1.0:
         return _integrate_parameterized(f, pieces, None, abs_tol, rel_tol)
     if single_valued:
@@ -424,51 +418,14 @@ def integrate_power_factor(f: Callable[[complex], complex],
     exponent = aa - 1.0
     weights = []
     for piece in pieces:
-        tr = _BranchTracker(piece, z0, angle)
-        angle = tr.end
-
-        def power(ts: list, zs: list, tracked_angle=tr.angle) -> list:
-            ws = [z - z0 for z in zs]
-            return [cmath.exp(exponent * complex(math.log(abs(w)),
-                                                 tracked_angle(t, w)))
-                    for t, w in zip(ts, ws)]
+        def power(ts: list, zs: list, start=angle, turns=piece.turns) -> list:
+            return [cmath.exp(exponent * complex(math.log(abs(z - z0)),
+                                                 start + turn))
+                    for z, turn in zip(zs, turns(ts, zs, z0))]
 
         weights.append(power)
+        angle += piece.turns([1.0], [piece.last], z0)[0]
     return _integrate_parameterized(f, pieces, weights, abs_tol, rel_tol)
-
-
-def _reject_near_z0(piece: Piece, z0: complex, kind: str) -> None:
-    """Reject a piece within 1e-12 of z0, named ``kind`` in the error."""
-    if isinstance(piece, Segment):
-        d = _point_segment_distance(z0, piece.start, piece.end)
-    else:
-        d = _point_arc_distance(z0, piece)
-    if d <= 1e-12:
-        raise ValueError(f"contour passes through the {kind} z0")
-
-
-def _point_arc_distance(p: complex, arc: Arc) -> float:
-    """Exact distance from p to the arc: radial when the ray from the
-    center through p crosses the swept angles, else to an endpoint."""
-    d = p - arc.center
-    lo = min(arc.angle_from, arc.angle_to)
-    span = abs(arc.angle_to - arc.angle_from)
-    # the representative of arg(d) at or above the lower sweep angle
-    phi = cmath.phase(d)
-    phi += 2.0 * math.pi * math.ceil((lo - phi) / (2.0 * math.pi))
-    if span >= 2.0 * math.pi or phi <= lo + span:
-        return abs(abs(d) - arc.radius)
-    return min(abs(p - arc.first), abs(p - arc.last))
-
-
-def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
-    d = b - a
-    denom = abs(d) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p - a) * d.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
 
 
 # ----------------------------------------------------------------------

@@ -357,6 +357,23 @@ def check_quadrature_residue():
     return "residue 2 pi i; reversal negates"
 
 
+
+def check_quadrature_branch():
+    # z0 close inside the circle lies between the arc and its longer
+    # chords, where an unwrap along chords would be off by 2 pi
+    z0 = 0.985 * cmath.exp(1j * math.pi / 16)
+    circle = quadrature.Contour([quadrature.Arc(0.0, 1.0, 0.0, 2 * math.pi)])
+    worst = 0.0
+    for a in (0.5, 0.3 + 0.7j):
+        res = quadrature.integrate_power_factor(lambda z: 1.0, a, z0, circle)
+        exact = (1 - z0) ** a * (cmath.exp(2j * math.pi * a) - 1) / a
+        dev = abs(res.value - exact) / abs(exact)
+        if not res.converged or dev > 1e-12:
+            raise AssertionError(f"loop about z0 at a = {a}: {res.value} "
+                                 f"!= (1 - z0)^a (e^(2 pi i a) - 1)/a = {exact}")
+        worst = max(worst, dev)
+    return f"a = 1/2 and 0.3+0.7i round |z0| = 0.985; max relative deviation {worst:.3g}"
+
 CHECKS = (
     ("bernoulli-recurrence", check_bernoulli_recurrence),
     ("stirling-recurrence", check_stirling_recurrence),
@@ -379,6 +396,7 @@ CHECKS = (
     ("branch-periodicity", check_branch_periodicity),
     ("theta-structure", check_theta_structure),
     ("quadrature-residue", check_quadrature_residue),
+    ("quadrature-branch", check_quadrature_branch),
 )
 
 

@@ -424,6 +424,20 @@ order = 4
         assert code == 2
         assert "branch point" in err
 
+    @pytest.mark.parametrize("contour", [
+        '[{"segment": [[0.05, 0.0], [NaN, 0.0]]}]',
+        '[{"segment": [[0.05, 0.0], [0.5, 0.0]]}, {"arc": {"center": [1.0, 0.0], '
+        '"radius": NaN, "from": 3.141592653589793, "to": 0.0}}]',
+    ], ids=["segment-end", "arc-radius"])
+    def test_non_finite_contour_is_input_error(self, tmp_path, capsys, contour):
+        # rejected where it is read, before any quadrature runs
+        path = tmp_path / "gamma.txt"
+        path.write_text(GAMMA_PROBLEM.replace(
+            '[{"segment": [[0.05, 0.0], [4.0, 0.0]]}]', contour))
+        code, out, err = run(capsys, ["expand", str(path)])
+        assert (code, out) == (2, "")
+        assert "line 6: " in err and "finite" in err
+
     def test_json_format(self, tmp_path, capsys):
         path = tmp_path / "gamma.txt"
         path.write_text(GAMMA_PROBLEM)

@@ -100,7 +100,6 @@ DEFAULTS = [
     (DirectionClass, ("hill",), "sector_index", None),
     (AsymptoticExpansion, (-1 + 0j, (TERM,)), "a", 1),
     (Contour, ((SEGMENT,),), "initial_branch_angle", None),
-    (QuadratureResult, (1 + 0j, 1e-15, 15), "converged", True),
 ]
 
 
@@ -179,6 +178,12 @@ def test_pickle_round_trip():
                          ids=[cls.__name__ for cls, *_ in DEFAULTS])
 def test_defaults(cls, given, name, value):
     assert getattr(cls(*given), name) == value
+
+
+def test_quadrature_result_states_convergence():
+    # a result never claims convergence by default
+    with pytest.raises(TypeError, match="converged"):
+        QuadratureResult(1 + 0j, 1e-15, 15)
 
 
 def test_every_export_resolves():

@@ -221,6 +221,35 @@ order = 2
                            match=f"line {line}: .*unknown key '{key}'"):
             parse_problem_text(text)
 
+    @pytest.mark.parametrize("line, message, old, new", [
+        (8, "segment end must be finite", "[4.0, 0.0]]", "[NaN, 0.0]]"),
+        (8, "segment start must be finite", "[[0.05, 0.0]", "[[0.05, -Infinity]"),
+        (8, r"bad arc in contour\[0\]: arc radius must be positive and finite",
+         '[{"segment": [[0.05, 0.0], [4.0, 0.0]]}]',
+         '[{"arc": {"center": [2.0, 0.0], "radius": NaN, "from": 3.14, "to": 0}}]'),
+        (4, "a must be a finite number", "a = 1", "a = NaN"),
+        (4, "a must be a finite number", "a = 1", "a = 1e999"),
+        (4, "a must be finite", "a = 1", "a = [0.5, Infinity]"),
+        (1, "z0 must be finite", "# factorial", "z0 = [NaN, 0]\n#"),
+        (9, "initial_branch_angle must be a finite number", "n_values",
+         "initial_branch_angle = NaN\nn_values"),
+    ], ids=["segment-end", "segment-start", "arc-radius", "a-nan", "a-overflow",
+            "a-pair", "z0", "branch-angle"])
+    def test_non_finite_number_is_input_error(self, line, message, old, new):
+        with pytest.raises(ProblemFileError, match=f"line {line}: {message}"):
+            parse_problem_text(GAMMA_TEXT.replace(old, new, 1))
+
+    def test_non_finite_coefficient_is_input_error(self):
+        text = """\
+z0 = [0.0, 0.0]
+p = [[0,0],[0,0],[-1,0],[NaN,0],[0,0],[0,0]]
+variant = "endpoint"
+k = 0
+order = 2
+"""
+        with pytest.raises(ProblemFileError, match=r"line 2: p\[3\] must be finite"):
+            parse_problem_text(text)
+
 
 class TestExamples:
     def test_registry_builds_every_example(self):

@@ -9,8 +9,7 @@ import pytest
 from saddlepoint import quadrature
 from saddlepoint.problemfile import example_problem, run_problem
 from saddlepoint.quadrature import (_WG, _WK, _XK, MAX_DEPTH, Arc, Contour,
-                                    Segment, _BranchTracker, _point_arc_distance,
-                                    builtin_integrand, integrate,
+                                    Segment, builtin_integrand, integrate,
                                     integrate_power_factor)
 
 
@@ -237,9 +236,82 @@ class TestPowerFactor:
             sampled = min(abs(arc.point(i / samples) - p)
                           for i in range(samples + 1))
             step = arc.radius * abs(arc.angle_to - arc.angle_from) / samples
-            exact = _point_arc_distance(p, arc)
+            exact = arc.distance(p)
             assert exact <= sampled + 1e-12
             assert sampled - exact <= step
+
+
+def _random_turn_cases(rng):
+    """(piece, z0) pairs: segments with z0 anywhere or close to them, and
+    arcs, with sweeps up to 2.5 turns, with z0 inside within 0.5 % of the
+    circle, outside, well inside, or on the circle off the arc."""
+    cases = []
+    for _ in range(40):
+        a, b = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in "ab")
+        seg = Segment(a, b)
+        near = seg.point(rng.uniform(0, 1)) + 1j * (b - a) * 10 ** rng.uniform(-9, -2)
+        cases += [(seg, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))), (seg, near)]
+    for _ in range(40):
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        r = rng.uniform(0.1, 2.0)
+        lo = rng.uniform(-7, 7)
+        sweep = rng.choice([-1, 1]) * rng.uniform(0.1, 5 * math.pi)
+        arc = Arc(c, r, lo, lo + sweep)
+        phi = rng.uniform(0, 2 * math.pi)
+        cases += [(arc, c + r * (1 - rng.uniform(1e-6, 5e-3)) * cmath.exp(1j * phi)),
+                  (arc, c + r * rng.uniform(1.001, 3.0) * cmath.exp(1j * phi)),
+                  (arc, c + r * rng.uniform(0.0, 0.99) * cmath.exp(1j * phi))]
+        short = Arc(c, r, lo, lo + math.copysign(min(abs(sweep), 6.0), sweep))
+        gap = rng.uniform(0.02, 2 * math.pi - abs(short.angle_to - lo) - 0.02)
+        cases.append((short, c + r * cmath.exp(1j * (lo - math.copysign(gap, sweep)))))
+    return cases
+
+
+class TestTurns:
+    """``turns`` against an unwrap that never calls the code under test."""
+
+    def test_random_pieces_against_unwrapped_reference(self):
+        ts = [0.0, 0.013, 0.25, 0.5, 0.61, 0.9, 1.0]
+        for piece, z0 in _random_turn_cases(random.Random(26)):
+            got = piece.turns(ts, [piece.point(t) for t in ts], z0)
+            assert abs(got[0]) < 1e-15
+            for t, turn in zip(ts, got):
+                assert abs(turn - _reference_turn(piece, z0, t)) < 1e-9, (piece, z0, t)
+
+    def test_arc_about_z0_turns_by_its_sweep(self):
+        arc = Arc(0.3 - 0.2j, 0.7, 0.4, 0.4 - 9.0)
+        ts = [0.0, 0.3, 0.77, 1.0]
+        assert arc.turns(ts, [arc.point(t) for t in ts], 0.3 - 0.2j) == \
+            [-9.0 * t for t in ts]
+
+    @pytest.mark.parametrize("radius", [0.9, 0.985, 0.99, 0.999])
+    @pytest.mark.parametrize("a", [0.5, 0.3 + 0.7j])
+    def test_full_circle_closed_form(self, radius, a):
+        # z0 close inside the circle lies between the arc and its chords
+        z0 = radius * cmath.exp(1j * math.pi / 16)
+        r = integrate_power_factor(lambda z: 1.0, a, z0,
+                                   Contour([Arc(0j, 1.0, 0.0, 2 * math.pi)]))
+        exact = (1 - z0) ** a * (cmath.exp(2j * math.pi * a) - 1) / a
+        assert r.converged
+        assert abs(r.value - exact) <= 1e-12 * abs(exact)
+
+    def test_random_arcs_against_antiderivative(self):
+        # the integral of (z - z0)^(a-1) is the change of (z - z0)^a / a
+        # along the branch the reference unwrap follows
+        rng = random.Random(27)
+        converged = 0
+        for arc, z0 in _random_turn_cases(rng)[80::2]:
+            a = complex(rng.uniform(-0.9, 1.9), rng.uniform(-1, 1))
+            w0, w1 = arc.first - z0, arc.last - z0
+            arg0 = cmath.phase(w0)
+            arg1 = arg0 + _reference_turn(arc, z0, 1.0)
+            exact = (cmath.exp(a * complex(math.log(abs(w1)), arg1))
+                     - cmath.exp(a * complex(math.log(abs(w0)), arg0))) / a
+            r = integrate_power_factor(lambda z: 1.0, a, z0, Contour([arc]))
+            if r.converged:
+                converged += 1
+                assert abs(r.value - exact) <= 1e-9 * abs(exact), (arc, z0, a)
+        assert converged >= 75
 
 
 def _reference_gk15(g, t0, t1):
@@ -324,26 +396,29 @@ def _reference_integrands(f, a, z0, contour):
         angle = float(contour.initial_branch_angle)
     out = []
     for piece in contour.pieces:
-        tr = _BranchTracker(piece, z0, angle)
-        angle = tr.end
-
-        def tracked(t, tr=tr, piece=piece):
-            if tr.exact_arc:
-                return tr.start + (piece.angle_to - piece.angle_from) * t
-            knots = [i / tr.chunks for i in range(tr.chunks + 1)]
-            idx = min(int(t * (len(knots) - 1)), len(knots) - 2)
-            za = piece.point(knots[idx]) - z0
-            zt = piece.point(t) - z0
-            return tr.knot_angles[idx] + cmath.phase(zt / za)
-
-        def g(t, piece=piece, tracked=tracked):
+        def g(t, piece=piece, start=angle):
             z = piece.point(t)
-            w = z - z0
-            power = cmath.exp((aa - 1.0) * complex(math.log(abs(w)), tracked(t)))
+            arg = start + _reference_turn(piece, z0, t)
+            power = cmath.exp((aa - 1.0) * complex(math.log(abs(z - z0)), arg))
             return power * f(z) * _reference_velocity(piece, t)
 
         out.append(g)
+        angle += _reference_turn(piece, z0, 1.0)
     return out
+
+
+def _reference_turn(piece, z0, t):
+    """arg(z(t) - z0) - arg(z(0) - z0), unwrapped in steps whose path
+    length is half the distance from the step's start to z0: such a step
+    stays in a disc that misses z0, so it turns by less than pi."""
+    speed = abs(_reference_velocity(piece, 0.0))
+    turn, s, w = 0.0, 0.0, piece.point(0.0) - z0
+    while s < t:
+        s = min(t, s + 0.5 * abs(w) / speed)
+        nxt = piece.point(s) - z0
+        turn += cmath.phase(nxt / w)
+        w = nxt
+    return turn
 
 
 def _oracle_problem(name, n, **params):
